@@ -13,7 +13,6 @@ from .errors import (
     InsufficientData,
     MaskError,
     NodeError,
-    ProfileError,
     RangeError,
     SeamError,
     ToolkitError,
@@ -28,6 +27,8 @@ from .maps import (
     apply_chain,
     apply_chain_inv,
     boundary_image_trace,
+    chain_inverse_values,
+    chain_values,
     cusp_map,
     cusp_map_inv,
     mobius_to_disk,
@@ -41,16 +42,18 @@ from .domains import (
     PowerCuspDomain,
     arc_diameter,
     boundary_arc,
-    preimage_arc_diameter,
+    preimage_arc,
 )
 from .distortion import (
     DistortionSample,
     Jacobian2,
     chain_distortion,
+    chain_distortion_values,
     cusp_jacobian,
     cusp_jacobian_fd,
     distortion,
-    distortion_field,
+    distortion_table,
+    distortion_values,
     fit_growth_envelope,
     op_norm,
 )
@@ -61,7 +64,6 @@ from .quadrature import (
     classify,
     distortion_exp_integral,
     distortion_power_integral,
-    integrate_annulus,
 )
 from .capacity import (
     CapacityEstimate,

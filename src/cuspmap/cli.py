@@ -8,6 +8,7 @@ criteria PASS, 1 verification FAIL, 2 usage error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import re
 import sys
@@ -22,17 +23,10 @@ from .capacity import (
     grid_capacity,
     tip_capacity_experiment,
 )
-from .distortion import cusp_jacobian, distortion, fit_growth_envelope
+from .distortion import distortion_table, distortion_values, fit_growth_envelope
 from .errors import ToolkitError
 from .io_formats import csv_text, json_text, write_pgm
-from .maps import (
-    MapChain,
-    PlanePoint,
-    PolarPoint,
-    apply_chain,
-    apply_chain_inv,
-    boundary_image_trace,
-)
+from .maps import MapChain, boundary_image_trace, chain_inverse_values, chain_values
 from .profile import ProfileParams
 from .quadrature import AnnularScheme, distortion_exp_integral, distortion_power_integral
 from .verify import run_suite
@@ -60,8 +54,23 @@ def _parse_points(text: str):
         coords = chunk.split(",")
         if len(coords) != 2:
             raise argparse.ArgumentTypeError(f"point {chunk!r} is not 'x1,x2'")
-        pts.append(PlanePoint(float(coords[0]), float(coords[1])))
+        z = complex(float(coords[0]), float(coords[1]))
+        if not cmath.isfinite(z):
+            raise argparse.ArgumentTypeError(f"point {chunk!r} is not finite")
+        pts.append(z)
     return pts
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {low}")
+        return value
+
+    return parse
 
 
 def _parse_floats(text: str):
@@ -83,29 +92,43 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _fold_config(argv):
+def _emit_table(args, header, rows) -> None:
+    """Rows as CSV, or with --format json as a list of objects."""
+    if args.format == "json":
+        _emit(args, json_text([dict(zip(header, row)) for row in rows]))
+    else:
+        _emit(args, csv_text(header, rows))
+
+
+def _fold_config(argv, parser):
     """Pre-scan for --config and splice key=value pairs in as trailing flags.
 
     Explicit command-line flags win; boolean keys take true/false values.
     """
-    if "--config" not in argv:
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
         return argv
-    path = argv[argv.index("--config") + 1]
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        parser.error(f"argument --config: {exc}")
     extra = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            flag = "--" + key.strip().replace("_", "-")
-            if flag in argv or any(a.startswith(flag + "=") for a in argv):
-                continue
-            value = value.strip()
-            if value.lower() in ("true", "yes", "1") and key.strip() in ("roundtrip",):
-                extra.append(flag)
-            else:
-                extra.extend([flag, value])
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        flag = "--" + key.strip().replace("_", "-")
+        if flag in argv or any(a.startswith(flag + "=") for a in argv):
+            continue
+        value = value.strip()
+        if value.lower() in ("true", "yes", "1") and key.strip() in ("roundtrip",):
+            extra.append(flag)
+        else:
+            extra.extend([flag, value])
     return argv + extra
 
 
@@ -134,8 +157,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ms = map_sub.add_parser("sample", parents=[common])
     ms.add_argument("--points", type=_parse_points, default=None,
                     help="semicolon-separated x1,x2 pairs")
-    ms.add_argument("--grid", type=int, default=None, help="NxN Cartesian grid over the disk")
-    ms.add_argument("--random", type=int, default=None,
+    ms.add_argument("--grid", type=_int_at_least(1), default=None,
+                    help="NxN Cartesian grid over the disk")
+    ms.add_argument("--random", type=_int_at_least(1), default=None,
                     help="N quasi-random disk points (offset by --seed)")
     ms.add_argument("--roundtrip", action="store_true", help="append inverse-error column")
     mt = map_sub.add_parser("trace-boundary", parents=[common])
@@ -147,14 +171,14 @@ def _build_parser() -> argparse.ArgumentParser:
     df = dist_sub.add_parser("field", parents=[common])
     df.add_argument("--r-min", type=float, default=1e-8)
     df.add_argument("--r-max", type=float, default=1.0)
-    df.add_argument("--nr", type=int, default=64)
-    df.add_argument("--ntheta", type=int, default=64)
+    df.add_argument("--nr", type=_int_at_least(1), default=64)
+    df.add_argument("--ntheta", type=_int_at_least(1), default=64)
     df.add_argument("--chain", default=None, help="comma list of stages, e.g. f1,f2,f3")
     fb = dist_sub.add_parser("fit-bound", parents=[common])
     fb.add_argument("--theta", type=_parse_theta, required=True)
     fb.add_argument("--r-min", type=float, default=1e-30)
     fb.add_argument("--r-max", type=float, default=1e-2)
-    fb.add_argument("--n", type=int, default=29)
+    fb.add_argument("--n", type=_int_at_least(1), default=29)
     fb.add_argument("--band", type=_parse_floats, default=[0.05, 2.0])
 
     p_int = sub.add_parser("integrate", parents=[common],
@@ -162,10 +186,12 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p_int.add_mutually_exclusive_group(required=True)
     group.add_argument("--kpow", type=float, default=None)
     group.add_argument("--explambda", type=float, default=None)
-    p_int.add_argument("--depth", type=int, default=64, help="dyadic refinement depth")
+    # the growth classifier needs at least six partial integrals
+    p_int.add_argument("--depth", type=_int_at_least(6), default=64,
+                       help="dyadic refinement depth")
     p_int.add_argument("--geometric-depth", type=float, default=None,
                        help="deep log-radius scheme: reach 2^-DEPTH geometrically")
-    p_int.add_argument("--steps", type=int, default=48)
+    p_int.add_argument("--steps", type=_int_at_least(6), default=48)
     p_int.add_argument("--chain", default=None)
 
     p_cap = sub.add_parser("capacity", help="test functions, grid solves, tip experiment")
@@ -175,11 +201,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ct.add_argument("--d", type=float, required=True)
     cg_ = cap_sub.add_parser("grid", parents=[common])
     cg_.add_argument("--annulus", type=float, nargs=2, metavar=("RHO", "R"), required=True)
-    cg_.add_argument("--resolution", type=int, default=512)
+    cg_.add_argument("--resolution", type=_int_at_least(16), default=512)
     th = cap_sub.add_parser("theorem1", parents=[common])
     th.add_argument("--t", type=_parse_floats, required=True)
-    th.add_argument("--resolution", type=int, default=256)
-    th.add_argument("--arc-samples", type=int, default=64)
+    th.add_argument("--resolution", type=_int_at_least(16), default=256)
+    th.add_argument("--arc-samples", type=_int_at_least(2), default=64)
 
     p_ver = sub.add_parser("verify", parents=[common], help="run the certification suite")
     p_ver.add_argument("--only", default=None, help="criterion number or name fragment")
@@ -195,36 +221,28 @@ def _cmd_map_sample(args) -> int:
     chain = _chain_from(args)
     if args.points is None and args.grid is None and args.random is None:
         raise ToolkitError("map sample needs --points, --grid or --random")
-    points = list(args.points or [])
+    parts = [np.array(args.points or [], dtype=complex)]
     if args.grid:
-        xs = np.linspace(-0.99, 0.99, args.grid)
-        for a in xs:
-            for b in xs:
-                if math.hypot(a, b) <= 0.99:
-                    points.append(PlanePoint(float(a), float(b)))
+        a, b = np.meshgrid(np.linspace(-0.99, 0.99, args.grid),
+                           np.linspace(-0.99, 0.99, args.grid), indexing="ij")
+        grid = a + 1j * b
+        parts.append(grid[np.hypot(a, b) <= 0.99])
     if args.random:
         from .verify import halton
 
         qr = halton(args.random, skip=20 + args.seed)
-        for u, v in qr:
-            rad = 0.99 * math.sqrt(u)
-            points.append(PlanePoint(rad * math.cos(2.0 * math.pi * v),
-                                     rad * math.sin(2.0 * math.pi * v)))
+        rad = 0.99 * np.sqrt(qr[:, 0])
+        ang = 2.0 * math.pi * qr[:, 1]
+        parts.append(rad * np.cos(ang) + 1j * (rad * np.sin(ang)))
+    z = np.concatenate(parts)
+    w = chain_values(z, chain)
     header = ["x1", "x2", "fx1", "fx2"]
+    columns = [z.real, z.imag, w.real, w.imag]
     if args.roundtrip:
         header.append("roundtrip_error")
-    rows = []
-    for p in points:
-        w = apply_chain(p, chain)
-        row = [p.x1, p.x2, w.x1, w.x2]
-        if args.roundtrip:
-            back = apply_chain_inv(w, chain)
-            row.append(math.hypot(back.x1 - p.x1, back.x2 - p.x2))
-        rows.append(row)
-    if args.format == "json":
-        _emit(args, json_text([dict(zip(header, row)) for row in rows]))
-    else:
-        _emit(args, csv_text(header, rows))
+        columns.append(np.abs(chain_inverse_values(w, chain) - z))
+    rows = np.column_stack(columns).tolist()
+    _emit_table(args, header, rows)
     return 0
 
 
@@ -232,10 +250,7 @@ def _cmd_map_trace(args) -> int:
     rows = boundary_image_trace(sorted(args.t, reverse=True))
     header = ["t", "x1", "x2", "residual", "residual_over_t2"]
     table = [(r.t, r.x1, r.x2, r.residual, r.residual / r.t**2) for r in rows]
-    if args.format == "json":
-        _emit(args, json_text([dict(zip(header, row)) for row in table]))
-    else:
-        _emit(args, csv_text(header, table))
+    _emit_table(args, header, table)
     return 0
 
 
@@ -246,8 +261,6 @@ def _cmd_distortion_field(args) -> int:
     if args.format == "pgm":
         if args.out == "-":
             raise ToolkitError("--format pgm needs --out FILE")
-        from .distortion import distortion_values
-
         if chain.has_cusp():
             K = distortion_values(np.log(rs)[:, None], thetas[None, :], chain.params)
         else:
@@ -255,19 +268,13 @@ def _cmd_distortion_field(args) -> int:
         write_pgm(args.out, np.log10(K), lo=0.0)
         return 0
     header = ["r", "theta", "op_norm", "jac_det", "K"]
-    rows = []
-    for r in rs:
-        for t in thetas:
-            if chain.has_cusp():
-                d = distortion(cusp_jacobian(PolarPoint.from_angle(float(r), float(t)),
-                                             chain.params))
-                rows.append((float(r), float(t), d.op_norm, d.jac_det, d.K))
-            else:
-                rows.append((float(r), float(t), 1.0, 1.0, 1.0))
-    if args.format == "json":
-        _emit(args, json_text([dict(zip(header, row)) for row in rows]))
+    r, theta = np.meshgrid(rs, thetas, indexing="ij")
+    if chain.has_cusp():
+        table = distortion_table(np.log(r), theta, chain.params)
     else:
-        _emit(args, csv_text(header, rows))
+        table = np.ones((3,) + r.shape)
+    rows = np.column_stack([v.ravel() for v in (r, theta, *table)]).tolist()
+    _emit_table(args, header, rows)
     return 0
 
 
@@ -344,10 +351,7 @@ def _cmd_capacity_theorem1(args) -> int:
     table = [(r.t, r.capacity, r.capacity_over_t, r.capacity_over_t2, r.diam_image_arc,
               r.diam_preimage, r.log_diam_preimage, r.lower_bound_ref, r.log_diam_bound)
              for r in rows]
-    if args.format == "json":
-        _emit(args, json_text([dict(zip(header, row)) for row in table]))
-    else:
-        _emit(args, csv_text(header, table))
+    _emit_table(args, header, table)
     return 0
 
 
@@ -360,7 +364,7 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-    args = parser.parse_args(_fold_config(argv))
+    args = parser.parse_args(_fold_config(argv, parser))
 
     dispatch = {
         ("map", "sample"): _cmd_map_sample,

@@ -25,15 +25,17 @@ import numpy as np
 
 from .errors import DomainError, SeamError
 from .maps import (
+    _TO_HALFPLANE,
     MapChain,
     MapStage,
     PlanePoint,
     PolarPoint,
-    Sector,
-    cusp_map,
-    mobius_to_halfplane,
+    _extended,
+    _mobius_values,
+    _polar,
+    _squeeze_polar,
 )
-from .profile import ProfileParams, _curves, _scaled_rates, evaluate
+from .profile import ProfileParams, _curves, _scaled_rates
 
 __all__ = [
     "Jacobian2",
@@ -44,8 +46,9 @@ __all__ = [
     "op_norm",
     "distortion",
     "distortion_values",
-    "distortion_field",
+    "distortion_table",
     "chain_distortion",
+    "chain_distortion_values",
     "fit_growth_envelope",
 ]
 
@@ -71,38 +74,60 @@ class DistortionSample:
     K: float
 
 
-def _angular_factors(theta, half_angle):
-    """(shear factor, tangential factor) for arrays of normalized angles."""
+def _scaled_entries(logr, theta, log_cg):
+    """Entries (a11, a21, a22) times min(r, 1), and the tangential factor.
+
+    Beyond r = 1 the radial extension's differential is the constant
+    diag(G(1), G(1) * tang).
+    """
+    beyond = logr > 0.0
+    l1, l2, g, G, aspect, slant = _curves(np.minimum(logr, 0.0), log_cg)
+    _, r_da, r_dG = _scaled_rates(l1, l2, g, aspect, slant)
+    half_angle = np.arctan(aspect)
+    # capacity grids pass 10^5 points: release each temporary once done
+    del l1, l2, aspect
+    m11 = np.where(beyond, G, r_dG)
+    del G, r_dG
     inner = (theta > -_HALF_PI) & (theta < _HALF_PI)
     outer_theta = np.where(theta >= _HALF_PI, theta, theta + 2.0 * math.pi)
     shear = np.where(inner, 2.0 * theta / math.pi, 2.0 - 2.0 * outer_theta / math.pi)
-    tang = np.where(
-        inner,
-        (2.0 / math.pi) * half_angle,
-        2.0 - (2.0 / math.pi) * half_angle,
-    )
-    return shear, tang
-
-
-def _scaled_entries(logr, theta, log_cg):
-    """r-scaled matrix entries (r*a11, r*a21, r*a22) from log r and angle."""
-    l1, l2, g, G, aspect, slant = _curves(logr, log_cg)
-    r_dg, r_da, r_dG = _scaled_rates(l1, l2, g, aspect, slant)
-    half_angle = np.arctan(aspect)
-    shear, tang = _angular_factors(theta, half_angle)
-    m11 = r_dG
-    m21 = shear * g * r_da / slant
+    del outer_theta
+    m21 = np.where(beyond, 0.0, shear * g * r_da / slant)
+    del shear, r_da
+    tang = np.where(inner, (2.0 / math.pi) * half_angle, 2.0 - (2.0 / math.pi) * half_angle)
     m22 = tang * g * slant
-    return m11, m21, m22
+    return m11, m21, m22, tang
 
 
-def _k_from_entries(m11, m21, m22):
-    """Distortion of the lower-triangular matrix [[m11, 0], [m21, m22]]."""
-    t = m11 * m11 + m21 * m21 + m22 * m22
-    det = m11 * m22
+def _matrix_invariants(a11, a12, a21, a22):
+    """(max(op_norm^2 / det, 1), op_norm^2, det) of 2x2 matrices given entrywise."""
+    t = a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22
+    det = a11 * a22 - a12 * a21
     disc = np.sqrt(np.maximum(t * t - 4.0 * det * det, 0.0))
-    k = (t + disc) / (2.0 * det)
-    return np.maximum(k, 1.0)
+    return np.maximum((t + disc) / (2.0 * det), 1.0), 0.5 * (t + disc), det
+
+
+def _invariants(logr, theta, log_cg):
+    """(K, squared operator norm, determinant) of the entries of _scaled_entries.
+
+    The extension's diagonal differential has K = max(tang, 1/tang) exactly.
+    """
+    m11, m21, m22, tang = _scaled_entries(logr, theta, log_cg)
+    k, norm2, det = _matrix_invariants(m11, 0.0, m21, m22)
+    return np.where(logr > 0.0, np.maximum(tang, 1.0 / tang), k), norm2, det
+
+
+def _table(logr, theta, log_cg):
+    """(op_norm, jac_det, K) at log-radii of any sign and normalized angles."""
+    k, norm2, det = _invariants(logr, theta, log_cg)
+    with np.errstate(over="ignore", divide="ignore"):
+        s = np.exp(np.minimum(logr, 0.0))
+        return np.sqrt(norm2) / s, det / s / s, k
+
+
+def _check_closed_form(logr):
+    if np.any(logr > 0.0):
+        raise DomainError("closed-form distortion needs r <= 1")
 
 
 def distortion_values(logr, theta, params: ProfileParams):
@@ -112,31 +137,29 @@ def distortion_values(logr, theta, params: ProfileParams):
     far below the double-precision radius floor.
     """
     logr = np.asarray(logr, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if np.any(logr > 0.0):
-        raise DomainError("closed-form distortion needs r <= 1")
-    return _k_from_entries(*_scaled_entries(logr, theta, params.log_cg()))
+    _check_closed_form(logr)
+    return _invariants(logr, np.asarray(theta, dtype=float), params.log_cg())[0]
+
+
+def distortion_table(logr, theta, params: ProfileParams):
+    """Arrays (op_norm, jac_det, K) of the squeeze at log r <= 0, normalized angles.
+
+    All three come from the r-scaled entries. op_norm stays finite down to
+    r = 1e-300; jac_det leaves the double range below about r = 1e-155.
+    """
+    logr = np.asarray(logr, dtype=float)
+    _check_closed_form(logr)
+    return _table(logr, np.asarray(theta, dtype=float), params.log_cg())
 
 
 def cusp_jacobian(p: PolarPoint, params: ProfileParams) -> Jacobian2:
     """The displayed differential matrix of the squeeze at 0 < r <= 1."""
     if not (0.0 < p.r <= 1.0):
         raise DomainError(f"analytic squeeze matrix needs 0 < r <= 1, got {p.r}")
-    m11, m21, m22 = _scaled_entries(
+    m11, m21, m22, _ = _scaled_entries(
         np.float64(math.log(p.r)), np.float64(p.theta), params.log_cg()
     )
     return Jacobian2(float(m11) / p.r, 0.0, float(m21) / p.r, float(m22) / p.r, p)
-
-
-def _extension_jacobian(p: PolarPoint, params: ProfileParams) -> Jacobian2:
-    """Differential of the radial bi-Lipschitz extension for r > 1."""
-    one = evaluate(1.0, params)
-    tang = (
-        (2.0 / math.pi) * one.half_angle
-        if p.sector is Sector.INNER
-        else 2.0 - (2.0 / math.pi) * one.half_angle
-    )
-    return Jacobian2(one.image_radius, 0.0, 0.0, one.image_radius * tang, p)
 
 
 def cusp_jacobian_fd(p: PolarPoint, params: ProfileParams, h: float = 1e-7) -> Jacobian2:
@@ -155,111 +178,69 @@ def cusp_jacobian_fd(p: PolarPoint, params: ProfileParams, h: float = 1e-7) -> J
     if p.r + 2.0 * hr > 1.0 or p.r - 2.0 * hr <= 0.0:
         raise SeamError(f"radius {p.r} within 2h of the extension boundary")
 
-    def image(r, theta):
-        q = cusp_map(PolarPoint.from_angle(r, theta), params)
-        return q.x1, q.x2
-
-    u1, v1 = image(p.r + hr, p.theta)
-    u0, v0 = image(p.r - hr, p.theta)
-    col_r = ((u1 - u0) / (2.0 * hr), (v1 - v0) / (2.0 * hr))
-    u1, v1 = image(p.r, p.theta + h)
-    u0, v0 = image(p.r, p.theta - h)
-    col_t = ((u1 - u0) / (2.0 * h * p.r), (v1 - v0) / (2.0 * h * p.r))
-
-    u, v = image(p.r, p.theta)
-    rho = math.hypot(u, v)
-    c, s = u / rho, v / rho
+    # stencil: r + hr, r - hr, theta + h, theta - h, the base point
+    rho, phi = _squeeze_polar(
+        np.array([p.r + hr, p.r - hr, p.r, p.r, p.r]),
+        np.array([p.theta, p.theta, p.theta + h, p.theta - h, p.theta]),
+        params,
+    )
+    u, v = rho * np.cos(phi), rho * np.sin(phi)
+    col_r = ((u[0] - u[1]) / (2.0 * hr), (v[0] - v[1]) / (2.0 * hr))
+    col_t = ((u[2] - u[3]) / (2.0 * h * p.r), (v[2] - v[3]) / (2.0 * h * p.r))
+    rho0 = math.hypot(u[4], v[4])
+    c, s = u[4] / rho0, v[4] / rho0
     return Jacobian2(
-        a11=c * col_r[0] + s * col_r[1],
-        a12=c * col_t[0] + s * col_t[1],
-        a21=-s * col_r[0] + c * col_r[1],
-        a22=-s * col_t[0] + c * col_t[1],
+        a11=float(c * col_r[0] + s * col_r[1]),
+        a12=float(c * col_t[0] + s * col_t[1]),
+        a21=float(-s * col_r[0] + c * col_r[1]),
+        a22=float(-s * col_t[0] + c * col_t[1]),
         base=p,
     )
 
 
 def op_norm(m: Jacobian2) -> float:
     """Largest singular value, closed form for 2x2."""
-    t = m.a11 * m.a11 + m.a12 * m.a12 + m.a21 * m.a21 + m.a22 * m.a22
-    det = m.a11 * m.a22 - m.a12 * m.a21
-    disc = math.sqrt(max(t * t - 4.0 * det * det, 0.0))
-    return math.sqrt(0.5 * (t + disc))
+    return distortion(m).op_norm
 
 
 def distortion(m: Jacobian2) -> DistortionSample:
     """op_norm^2 / det where the matrix is regular; 1 otherwise."""
-    det = m.a11 * m.a22 - m.a12 * m.a21
-    norm = op_norm(m)
-    entries_ok = all(math.isfinite(v) for v in (m.a11, m.a12, m.a21, m.a22))
-    if not entries_ok or det <= 0.0:
-        return DistortionSample(m.base, norm, det, 1.0)
-    return DistortionSample(m.base, norm, det, max(norm * norm / det, 1.0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        k, norm2, det = _matrix_invariants(m.a11, m.a12, m.a21, m.a22)
+    regular = det > 0.0 and all(math.isfinite(v) for v in (m.a11, m.a12, m.a21, m.a22))
+    return DistortionSample(m.base, float(np.sqrt(norm2)), float(det), float(k) if regular else 1.0)
 
 
-def distortion_field(r_values, theta_values, params: ProfileParams):
-    """Per-point K over the polar product grid, r-major deterministic order."""
-    samples = []
-    for r in r_values:
-        for theta in theta_values:
-            p = PolarPoint.from_angle(r, theta)
-            samples.append(distortion(cusp_jacobian(p, params)))
-    return samples
-
-
-def chain_distortion(x: PlanePoint, chain: MapChain) -> DistortionSample:
-    """Distortion of the chain at x; Mobius stages contribute factor 1."""
-    here = PolarPoint.from_plane(x) if not x.at_infinity else PolarPoint.from_angle(0.0, 0.0)
-    if not chain.has_cusp():
-        return DistortionSample(here, 1.0, 1.0, 1.0)
-    w = x
-    for stage in chain.stages:
-        if stage is MapStage.CUSP:
-            break
-        if stage is MapStage.DISK_TO_HALFPLANE:
-            w = mobius_to_halfplane(w)
-    if w.at_infinity or w.norm() == 0.0:
-        return DistortionSample(here, 1.0, 1.0, 1.0)
-    p = PolarPoint.from_plane(w)
-    if p.r > 1.0:
-        return distortion(_extension_jacobian(p, chain.params))
-    return distortion(cusp_jacobian(p, chain.params))
+def _chain_polar(points, chain: MapChain):
+    """log r and angle at the squeeze stage of complex source points, and
+    the mask of points where the squeeze is regular (not at its singular
+    preimage or the first Mobius pole)."""
+    z = np.asarray(points, dtype=complex)
+    w = _mobius_values(z, *_TO_HALFPLANE) if MapStage.DISK_TO_HALFPLANE in chain.stages else z
+    r, theta = _polar(w)
+    good = np.isfinite(r) & (r > 0.0)
+    return np.log(np.where(good, r, 1.0)), theta, good
 
 
 def chain_distortion_values(points, chain: MapChain):
     """Vectorized chain K at an array of complex source points.
 
-    Points at the squeeze's singular preimage or the first Mobius pole get
-    the conventional value 1.
+    The Mobius stages are conformal, so this is the squeeze's K at the image
+    of the first stage; singular points get the conventional value 1.
     """
-    z = np.asarray(points, dtype=complex)
     if not chain.has_cusp():
-        return np.ones(z.shape, dtype=float)
-    w = z
-    if MapStage.DISK_TO_HALFPLANE in chain.stages:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = (z + 1.0) / (1.0 - z)
-    r = np.abs(w)
-    theta = np.arctan2(w.imag, w.real)
-    theta = np.where(theta < -_HALF_PI, theta + 2.0 * math.pi, theta)
-    out = np.ones(r.shape, dtype=float)
-    good = np.isfinite(r) & (r > 0.0)
+        return np.ones(np.shape(points))
+    logr, theta, good = _chain_polar(points, chain)
+    return np.where(good, _invariants(logr, theta, chain.params.log_cg())[0], 1.0)
 
-    interior = good & (r <= 1.0)
-    if np.any(interior):
-        out[interior] = distortion_values(
-            np.log(r[interior]), theta[interior], chain.params
-        )
-    beyond = good & (r > 1.0)
-    if np.any(beyond):
-        one = evaluate(1.0, chain.params)
-        inner = np.abs(theta[beyond]) < _HALF_PI
-        tang = np.where(
-            inner,
-            (2.0 / math.pi) * one.half_angle,
-            2.0 - (2.0 / math.pi) * one.half_angle,
-        )
-        out[beyond] = np.maximum(tang, 1.0 / tang)
-    return out
+
+def chain_distortion(x: PlanePoint, chain: MapChain) -> DistortionSample:
+    """Distortion of the chain at x; Mobius stages contribute factor 1."""
+    here = PolarPoint.from_plane(x) if not x.at_infinity else PolarPoint.from_angle(0.0, 0.0)
+    logr, theta, good = _chain_polar(_extended(x), chain)
+    if not (chain.has_cusp() and good):
+        return DistortionSample(here, 1.0, 1.0, 1.0)
+    return DistortionSample(here, *(float(v) for v in _table(logr, theta, chain.params.log_cg())))
 
 
 @dataclass(frozen=True)

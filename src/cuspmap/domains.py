@@ -31,7 +31,6 @@ __all__ = [
     "boundary_arc",
     "arc_diameter",
     "preimage_arc",
-    "preimage_arc_diameter",
 ]
 
 # samples below this x1 have an underflowed width and are clamped to the axis
@@ -105,25 +104,32 @@ class BoundaryArc:
         return len(self.samples)
 
 
-def _x1_max_for(t: float) -> float:
-    """Solve x1^2 + e^{-2/x1} = t^2 for the largest in-arc x1 (bisection)."""
+def _last_inside(outside, lo: float, hi: float) -> float:
+    """Largest x in [lo, hi] before the monotone predicate `outside` turns true.
 
-    def overshoot(x1):
-        w = math.exp(-2.0 / x1) if x1 > 2.0 / 700.0 else 0.0
-        return x1 * x1 + w - t * t
-
-    lo, hi = _X1_FLOOR, t
-    if overshoot(hi) <= 0.0:
+    Bisection, at most 200 halvings, ending at float resolution.
+    """
+    if not outside(hi):
         return hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # interval at float resolution
             break
-        if overshoot(mid) > 0.0:
+        if outside(mid):
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def _x1_max_for(t: float) -> float:
+    """Solve x1^2 + e^{-2/x1} = t^2 for the largest in-arc x1."""
+
+    def overshoots(x1):
+        w = math.exp(-2.0 / x1) if x1 > 2.0 / 700.0 else 0.0
+        return x1 * x1 + w - t * t > 0.0
+
+    return _last_inside(overshoots, _X1_FLOOR, t)
 
 
 def boundary_arc(t: float, n: int, d: ExpCuspDomain) -> BoundaryArc:
@@ -176,23 +182,11 @@ class PreimageArc:
 def _image_arc_x1_max(t: float, params) -> float:
     """Largest cusp-curve parameter whose final-stage image has |w| <= t."""
 
-    def image_norm(x1):
+    def beyond_t(x1):
         w = math.exp(-1.0 / x1) if x1 > 1.0 / 700.0 else 0.0
-        return mobius_to_disk(PlanePoint(x1, w)).norm()
+        return mobius_to_disk(PlanePoint(x1, w)).norm() > t
 
-    g1 = depth(1.0, params)
-    lo, hi = 1e-12, g1
-    if image_norm(hi) <= t:
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if image_norm(mid) > t:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _last_inside(beyond_t, 1e-12, depth(1.0, params))
 
 
 def preimage_arc(t: float, chain: MapChain, n: int) -> PreimageArc:
@@ -235,8 +229,3 @@ def preimage_arc(t: float, chain: MapChain, n: int) -> PreimageArc:
         diameter=arc_diameter(source_pts),
         log_diameter=log_diam,
     )
-
-
-def preimage_arc_diameter(t: float, chain: MapChain, n: int) -> PreimageArc:
-    """Diameter of the pulled-back boundary arc (see PreimageArc)."""
-    return preimage_arc(t, chain, n)

@@ -9,10 +9,6 @@ class DomainError(ToolkitError):
     """Input outside the mathematical domain of an operation."""
 
 
-# Profile evaluation failures propagate unchanged through the map stages.
-ProfileError = DomainError
-
-
 class RangeError(ToolkitError):
     """Requested value lies outside the attainable range of a map."""
 

@@ -15,12 +15,15 @@ of its unit-circle restriction.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import ConvergenceError, DomainError, RangeError
-from .profile import ProfileParams, evaluate
+from .profile import ProfileParams, _curves, _scaled_rates
 
 __all__ = [
     "PlanePoint",
@@ -39,6 +42,8 @@ __all__ = [
     "cusp_map_inv",
     "apply_chain",
     "apply_chain_inv",
+    "chain_values",
+    "chain_inverse_values",
     "boundary_image_trace",
     "fit_tip_curvature",
 ]
@@ -128,10 +133,6 @@ class PolarPoint:
             raise DomainError("cannot take polar coordinates of infinity")
         return cls.from_angle(math.hypot(p.x1, p.x2), math.atan2(p.x2, p.x1))
 
-    def outer_angle(self) -> float:
-        """Angle shifted into the outer interval [pi/2, 3pi/2]."""
-        return self.theta if self.theta >= _HALF_PI else self.theta + _TWO_PI
-
 
 class MapStage(Enum):
     """Chain stages; `token` is the CLI spelling."""
@@ -187,10 +188,21 @@ class MapChain:
 # Mobius stages
 # ---------------------------------------------------------------------------
 
-def _mobius(p: PlanePoint, num, den, at_inf: complex) -> PlanePoint:
-    """Evaluate (az+b)/(cz+d) given closures for numerator/denominator."""
+# Complex arrays stand for the extended plane: any non-finite entry is the
+# point at infinity, and the stages write it as inf + inf j.
+_INF = complex(math.inf, math.inf)
+
+# (numerator, denominator, image of infinity) of each Mobius map
+_TO_HALFPLANE = (lambda z: z + 1.0, lambda z: 1.0 - z, -1.0)
+_TO_HALFPLANE_INV = (lambda w: w - 1.0, lambda w: w + 1.0, 1.0)
+_TO_DISK = (lambda z: z, lambda z: z + 1.0, 1.0)
+_TO_DISK_INV = (lambda w: w, lambda w: 1.0 - w, -1.0)
+
+
+def _mobius(p: PlanePoint, num, den, at_inf) -> PlanePoint:
+    """Evaluate num(z)/den(z) at one point of the extended plane."""
     if p.at_infinity:
-        return PlanePoint.from_complex(at_inf)
+        return PlanePoint.from_complex(complex(at_inf))
     z = p.as_complex()
     d = den(z)
     if d == 0:
@@ -198,24 +210,32 @@ def _mobius(p: PlanePoint, num, den, at_inf: complex) -> PlanePoint:
     return PlanePoint.from_complex(num(z) / d)
 
 
+def _mobius_values(z, num, den, at_inf):
+    """num(z)/den(z) on a complex array: poles go to infinity, infinity to at_inf."""
+    d = den(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = num(z) / d
+    return np.where(np.isfinite(z), np.where(d == 0, _INF, q), at_inf)
+
+
 def mobius_to_halfplane(p: PlanePoint) -> PlanePoint:
     """(z+1)/(1-z): unit disk onto the right half plane, -1 -> 0, 1 -> inf."""
-    return _mobius(p, lambda z: z + 1.0, lambda z: 1.0 - z, complex(-1.0, 0.0))
+    return _mobius(p, *_TO_HALFPLANE)
 
 
 def mobius_to_halfplane_inv(p: PlanePoint) -> PlanePoint:
     """(w-1)/(w+1): inverse of mobius_to_halfplane."""
-    return _mobius(p, lambda w: w - 1.0, lambda w: w + 1.0, complex(1.0, 0.0))
+    return _mobius(p, *_TO_HALFPLANE_INV)
 
 
 def mobius_to_disk(p: PlanePoint) -> PlanePoint:
     """z/(z+1): right half plane onto the disk B((1/2, 0), 1/2), inf -> 1."""
-    return _mobius(p, lambda z: z, lambda z: z + 1.0, complex(1.0, 0.0))
+    return _mobius(p, *_TO_DISK)
 
 
 def mobius_to_disk_inv(p: PlanePoint) -> PlanePoint:
     """w/(1-w): inverse of mobius_to_disk."""
-    return _mobius(p, lambda w: w, lambda w: 1.0 - w, complex(-1.0, 0.0))
+    return _mobius(p, *_TO_DISK_INV)
 
 
 # ---------------------------------------------------------------------------
@@ -232,133 +252,167 @@ def outer_angle_map(theta: float, half_angle: float) -> float:
     return 2.0 * theta - math.pi + (2.0 - 2.0 * theta / math.pi) * half_angle
 
 
-def squeeze_angle(p: PolarPoint, half_angle: float) -> float:
-    """Image polar angle of the squeeze at seam half-opening `half_angle`.
+def _polar(w):
+    """(|w|, arg w) of a complex array, the angle normalized to [-pi/2, 3pi/2)."""
+    theta = np.arctan2(w.imag, w.real)
+    return np.abs(w), np.where(theta < -_HALF_PI, theta + _TWO_PI, theta)
 
-    Inner rays compress linearly into (-half_angle, half_angle); outer rays
-    stretch over the remaining arc. Both formulas agree at the seams.
+
+def _squeeze_polar(r, theta, params: ProfileParams):
+    """Image polar coordinates (rho, phi) of arrays r > 0 and normalized theta.
+
+    Inner rays compress linearly into the cusp opening (-half_angle,
+    half_angle); outer rays stretch over the remaining arc, and both formulas
+    agree at the seams. Beyond r = 1 the radius scales by G(1) and the angles
+    keep the unit circle's opening.
     """
-    if p.sector is Sector.INNER:
-        return inner_angle_map(p.theta, half_angle)
-    return outer_angle_map(p.outer_angle(), half_angle)
+    _, _, _, G, aspect, _ = _curves(np.log(np.minimum(r, 1.0)), params.log_cg())
+    half_angle = np.arctan(aspect)
+    outer_theta = np.where(theta >= _HALF_PI, theta, theta + _TWO_PI)
+    phi = np.where(np.abs(theta) < _HALF_PI, inner_angle_map(theta, half_angle),
+                   outer_angle_map(outer_theta, half_angle))
+    return np.where(r > 1.0, r * G, G), phi
+
+
+def _squeeze_values(w, params: ProfileParams):
+    """The squeeze on a complex array; it fixes 0 and infinity."""
+    r, theta = _polar(w)
+    regular = np.isfinite(r) & (r > 0.0)
+    rho, phi = _squeeze_polar(np.where(regular, r, 1.0), theta, params)
+    return np.where(regular, rho * np.cos(phi) + 1j * (rho * np.sin(phi)), w)
 
 
 def cusp_map(p: PolarPoint, params: ProfileParams) -> PlanePoint:
     """The squeeze stage on the whole plane (radial extension beyond r = 1)."""
     if p.r == 0.0:
         return ORIGIN
-    if p.r <= 1.0:
-        prof = evaluate(p.r, params)
-        rho = prof.image_radius
-    else:
-        prof = evaluate(1.0, params)
-        rho = p.r * prof.image_radius
-    phi = squeeze_angle(p, prof.half_angle)
-    return PlanePoint(rho * math.cos(phi), rho * math.sin(phi))
+    rho, phi = _squeeze_polar(np.float64(p.r), np.float64(p.theta), params)
+    return PlanePoint(float(rho * np.cos(phi)), float(rho * np.sin(phi)))
 
 
-def _invert_angle(phi: float, half_angle: float) -> PolarPoint:
-    """Solve squeeze_angle(theta) = phi at fixed half-opening; returns r=1 shell."""
-    # normalize the image angle into [-half_angle, 2 pi - half_angle)
-    t = math.fmod(phi + half_angle, _TWO_PI)
-    if t < 0.0:
-        t += _TWO_PI
-    phi = t - half_angle
-    if abs(phi) < half_angle:
-        theta = phi * math.pi / (2.0 * half_angle)
-    else:
-        # seam angles land here and map to theta = +-pi/2 exactly
-        po = phi if phi >= half_angle else phi + _TWO_PI
-        theta = (po + math.pi - 2.0 * half_angle) / (2.0 - 2.0 * half_angle / math.pi)
-    return PolarPoint.from_angle(1.0, theta)
-
-
-# floor below which an image radius cannot be matched by a double radius
+# log r range of the inverse radius solve: below the floor an image radius
+# cannot be matched by a double radius
 _LOG_R_FLOOR = math.log(1e-320)
+# Newton settles within 7 steps over the whole range at cg = 16; bisection
+# alone would need about 60
+_NEWTON_STEPS = 100
 
 
-def cusp_map_inv(
-    w: PlanePoint,
-    params: ProfileParams,
-    r_extension_max: float = 1e6,
-    max_iterations: int = 200,
-) -> PolarPoint:
-    """Invert the squeeze: monotone image-radius bisection, linear angle solve.
+def _squeeze_inv_polar(rho, phi, params: ProfileParams):
+    """Source (r, theta) of image polar arrays 0 < rho < inf, any angle phi.
 
-    The radius bisection runs on log r (uniform relative precision down to the
-    double-precision floor). Image radii below the floor or above the
-    configured extension range raise RangeError.
+    The radius solves G(r) = rho by Newton on u = log r with the closed-form
+    slope r G'(r), kept inside a bracket that every evaluation narrows, with
+    a bisection step wherever Newton would leave it. It stops once a step or
+    the bracket falls below 1e-15 (1 + |u|). Image radii above G(1) lie on
+    the radial extension; radii below G at the floor raise RangeError.
+    theta lies in [-pi/2, 3pi/2] (3pi/2 only up to normalization).
     """
+    log_cg = params.log_cg()
+    _, _, _, g_ends, aspect_ends, _ = _curves(np.array([_LOG_R_FLOOR, 0.0]), log_cg)
+    if np.any(rho < g_ends[0]):
+        raise RangeError(f"image radius {np.min(rho)} below the double-precision "
+                         f"radius floor ({g_ends[0]:.6g})")
+    beyond = rho > g_ends[1] * (1.0 + 1e-15)
+    target = np.minimum(rho, g_ends[1])
+    lo, hi = np.full(np.shape(rho), _LOG_R_FLOOR), np.zeros(np.shape(rho))
+    # depth = 1/loglog(cg/r) is G up to the factor sqrt(1 + aspect^2) ~ 1
+    with np.errstate(over="ignore"):
+        u = np.clip(log_cg - np.exp(1.0 / target), lo, hi)
+    # a settled entry stops moving, so no entry depends on the others
+    active = np.ones(np.shape(rho), dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        l1, l2, g, G, aspect, slant = _curves(u, log_cg)
+        below = G < target
+        lo, hi = np.where(below, u, lo), np.where(below, hi, u)
+        step = u - (G - target) / _scaled_rates(l1, l2, g, aspect, slant)[2]
+        newton = (step > lo) & (step < hi) | (G == target)
+        step = np.where(newton, step, 0.5 * (lo + hi))
+        tol = 1e-15 * (1.0 + np.abs(u))
+        settled = (np.abs(step - u) <= tol) | (hi - lo <= tol)
+        u = np.where(active, step, u)
+        active &= ~settled
+        if not np.any(active):
+            break
+    else:
+        raise ConvergenceError("image-radius Newton solve did not settle")
+    half_angle = np.where(beyond, np.arctan(aspect_ends[1]),
+                          np.arctan(_curves(u, log_cg)[4]))
+    # the image angle, normalized into [-half_angle, 2 pi - half_angle)
+    t = np.fmod(phi + half_angle, _TWO_PI)
+    phi = np.where(t < 0.0, t + _TWO_PI, t) - half_angle
+    # seam angles take the outer branch and map to theta = +-pi/2 exactly
+    outer_phi = np.where(phi >= half_angle, phi, phi + _TWO_PI)
+    theta = np.where(
+        np.abs(phi) < half_angle,
+        phi * math.pi / (2.0 * half_angle),
+        (outer_phi + math.pi - 2.0 * half_angle) / (2.0 - 2.0 * half_angle / math.pi),
+    )
+    return np.where(beyond, rho / g_ends[1], np.exp(u)), theta
+
+
+def _squeeze_inv_values(w, params: ProfileParams):
+    """Inverse squeeze on a complex array; it fixes 0 and infinity."""
+    rho, phi = _polar(w)
+    regular = np.isfinite(rho) & (rho > 0.0)
+    r, theta = _squeeze_inv_polar(np.where(regular, rho, 1.0), phi, params)
+    return np.where(regular, r * np.cos(theta) + 1j * (r * np.sin(theta)), w)
+
+
+def cusp_map_inv(w: PlanePoint, params: ProfileParams) -> PolarPoint:
+    """Invert the squeeze (see _squeeze_inv_polar); 0 and infinity raise RangeError."""
     if w.at_infinity or w.norm() == 0.0:
         raise RangeError("inverse squeeze needs a finite nonzero image point")
-    rho = w.norm()
-    one = evaluate(1.0, params)
-    if rho > one.image_radius * (1.0 + 1e-15):
-        r = rho / one.image_radius
-        if r > r_extension_max:
-            raise RangeError(f"image radius {rho} beyond the configured extension range")
-        inv = _invert_angle(math.atan2(w.x2, w.x1), one.half_angle)
-        return PolarPoint(r, inv.theta, inv.sector)
-
-    lo, hi = _LOG_R_FLOOR, 0.0
-    glo = evaluate(math.exp(lo), params).image_radius
-    if rho < glo:
-        raise RangeError(
-            f"image radius {rho} below the double-precision radius floor ({glo:.6g})"
-        )
-    iterations = 0
-    while hi - lo > 1e-15 * (1.0 + abs(lo)):
-        iterations += 1
-        if iterations > max_iterations:
-            raise ConvergenceError("image-radius bisection exceeded its iteration budget")
-        mid = 0.5 * (lo + hi)
-        if evaluate(math.exp(mid), params).image_radius < rho:
-            lo = mid
-        else:
-            hi = mid
-    r = math.exp(0.5 * (lo + hi))
-    prof = evaluate(r, params)
-    inv = _invert_angle(math.atan2(w.x2, w.x1), prof.half_angle)
-    return PolarPoint(r, inv.theta, inv.sector)
+    r, theta = _squeeze_inv_polar(np.float64(w.norm()), math.atan2(w.x2, w.x1), params)
+    return PolarPoint.from_angle(float(r), float(theta))
 
 
 # ---------------------------------------------------------------------------
 # Chain composition
 # ---------------------------------------------------------------------------
 
-def _apply_stage(p: PlanePoint, stage: MapStage, params: ProfileParams) -> PlanePoint:
-    if stage is MapStage.DISK_TO_HALFPLANE:
-        return mobius_to_halfplane(p)
-    if stage is MapStage.HALFPLANE_TO_DISK:
-        return mobius_to_disk(p)
-    if p.at_infinity:
-        return p  # the squeeze extension fixes infinity
-    return cusp_map(PolarPoint.from_plane(p), params)
+# stage -> (forward, inverse), each acting on a complex array
+_STAGE_VALUES = {
+    MapStage.DISK_TO_HALFPLANE: (lambda z, params: _mobius_values(z, *_TO_HALFPLANE),
+                                 lambda w, params: _mobius_values(w, *_TO_HALFPLANE_INV)),
+    MapStage.CUSP: (_squeeze_values, _squeeze_inv_values),
+    MapStage.HALFPLANE_TO_DISK: (lambda z, params: _mobius_values(z, *_TO_DISK),
+                                 lambda w, params: _mobius_values(w, *_TO_DISK_INV)),
+}
 
 
-def _apply_stage_inv(p: PlanePoint, stage: MapStage, params: ProfileParams) -> PlanePoint:
-    if stage is MapStage.DISK_TO_HALFPLANE:
-        return mobius_to_halfplane_inv(p)
-    if stage is MapStage.HALFPLANE_TO_DISK:
-        return mobius_to_disk_inv(p)
-    if p.at_infinity:
-        return p
-    if p.norm() == 0.0:
-        return ORIGIN
-    q = cusp_map_inv(p, params)
-    return PlanePoint(q.r * math.cos(q.theta), q.r * math.sin(q.theta))
+def chain_values(z, chain: MapChain) -> np.ndarray:
+    """The chain on complex source points (non-finite entries are infinity)."""
+    w = np.array(z, dtype=complex)
+    for stage in chain.stages:
+        w = _STAGE_VALUES[stage][0](w, chain.params)
+    return w
+
+
+def chain_inverse_values(w, chain: MapChain) -> np.ndarray:
+    """The inverse chain on complex image points (non-finite entries are infinity)."""
+    z = np.array(w, dtype=complex)
+    for stage in reversed(chain.stages):
+        z = _STAGE_VALUES[stage][1](z, chain.params)
+    return z
+
+
+def _extended(p: PlanePoint) -> complex:
+    """The complex value of a point, inf + inf j for the point at infinity."""
+    return _INF if p.at_infinity else p.as_complex()
+
+
+def _point(z) -> PlanePoint:
+    z = complex(z)
+    return PlanePoint.from_complex(z) if cmath.isfinite(z) else PlanePoint.infinity()
 
 
 def apply_chain(x: PlanePoint, chain: MapChain) -> PlanePoint:
-    for stage in chain.stages:
-        x = _apply_stage(x, stage, chain.params)
-    return x
+    return _point(chain_values(_extended(x), chain))
 
 
 def apply_chain_inv(w: PlanePoint, chain: MapChain) -> PlanePoint:
-    for stage in reversed(chain.stages):
-        w = _apply_stage_inv(w, stage, chain.params)
-    return w
+    return _point(chain_inverse_values(_extended(w), chain))
 
 
 # ---------------------------------------------------------------------------

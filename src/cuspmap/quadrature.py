@@ -29,7 +29,6 @@ __all__ = [
     "Verdict",
     "AnnularScheme",
     "IntegrabilityReport",
-    "integrate_annulus",
     "distortion_power_integral",
     "distortion_exp_integral",
     "classify",
@@ -90,41 +89,15 @@ class AnnularScheme:
         return cls((0.0,) + tuple(ks), annuli_per_step, radial_nodes, angular_nodes)
 
 
-def integrate_annulus(field, r_in: float, r_out: float,
-                      radial_nodes: int = 16, angular_nodes: int = 16,
-                      theta_range=(-_HALF_PI, 3.0 * _HALF_PI)) -> float:
-    """Tensor Gauss-Legendre value of the area integral of `field` over an annulus.
-
-    `field(r, theta)` must be finite on the closed annulus; the angular range
-    splits at the sector seam pi/2 when it crosses it.
-    """
-    if not (0.0 < r_in < r_out):
-        raise DomainError(f"need 0 < r_in < r_out, got ({r_in}, {r_out})")
-    xr, wr = np.polynomial.legendre.leggauss(radial_nodes)
-    xt, wt = np.polynomial.legendre.leggauss(angular_nodes)
-    rs = 0.5 * (r_out - r_in) * (xr + 1.0) + r_in
-    wrs = 0.5 * (r_out - r_in) * wr
-    t0, t1 = theta_range
-    cuts = [t0] + [c for c in (_HALF_PI,) if t0 < c < t1] + [t1]
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        ts = 0.5 * (b - a) * (xt + 1.0) + a
-        wts = 0.5 * (b - a) * wt
-        vals = np.array([[field(r, t) for t in ts] for r in rs], dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise NodeError("field evaluated non-finite at a quadrature node")
-        total += float(np.einsum("i,j,ij->", wrs * rs, wts, vals))
-    return total
-
-
-def _log_annulus_contribs(u_in, u_out, bands, nr, nt, log_field):
+def _log_annulus_contribs(u_in, u_out, bands, radial, angular, log_field):
     """Per-node log contributions of int exp(log_field) * r dr dtheta.
 
-    Substituting r = e^u turns the area element into e^{2u} du dtheta. Returns
-    a flat array of log(node term); the annulus value is logsumexp of it.
+    Substituting r = e^u turns the area element into e^{2u} du dtheta.
+    `radial` and `angular` are Gauss-Legendre (nodes, weights) on [-1, 1].
+    Returns a flat array of log(node term); the annulus value is logsumexp
+    of it.
     """
-    xu, wu = np.polynomial.legendre.leggauss(nr)
-    xt, wt = np.polynomial.legendre.leggauss(nt)
+    (xu, wu), (xt, wt) = radial, angular
     edges = np.linspace(u_in, u_out, bands + 1)
     pieces = []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -247,11 +220,12 @@ def _integral_report(kind, parameter, transform, scheme, chain) -> Integrability
     def log_integrand(u, t):
         return transform(log_k(u, t))
 
+    radial = np.polynomial.legendre.leggauss(scheme.radial_nodes)
+    angular = np.polynomial.legendre.leggauss(scheme.angular_nodes)
     log_increments = []
     for k0, k1 in zip(scheme.log2_eps[:-1], scheme.log2_eps[1:]):
         contribs = _log_annulus_contribs(
-            k1 * _LOG2, k0 * _LOG2, scheme.annuli_per_step,
-            scheme.radial_nodes, scheme.angular_nodes, log_integrand,
+            k1 * _LOG2, k0 * _LOG2, scheme.annuli_per_step, radial, angular, log_integrand,
         )
         if np.any(np.isnan(contribs)):
             raise NodeError("non-finite integrand at a quadrature node")

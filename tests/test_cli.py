@@ -195,6 +195,64 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+def usage_exit_code(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+def test_config_flag_without_a_file_is_a_usage_error(capsys):
+    assert usage_exit_code(["integrate", "--kpow", "1", "--config"]) == 2
+
+
+def test_config_equals_form_supplies_defaults(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("depth=12\n")
+    code, out = run(["integrate", "--kpow", "1", f"--config={cfg}"], capsys)
+    assert code == 0
+    assert len(json.loads(out)["partials"]) == 12
+
+
+def test_non_finite_point_is_a_usage_error(capsys):
+    assert usage_exit_code(["map", "sample", "--points=nan,0"]) == 2
+
+
+def test_empty_field_is_a_usage_error(capsys):
+    assert usage_exit_code(["distortion", "field", "--nr", "0"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["capacity", "grid", "--annulus", "0.25", "1", "--resolution", "8"],
+    ["integrate", "--kpow", "1", "--depth", "3"],
+    ["map", "sample", "--grid", "0"],
+    ["distortion", "fit-bound", "--theta", "pi", "--n", "0"],
+    ["capacity", "theorem1", "--t", "0.25", "--arc-samples", "1"],
+])
+def test_sizes_below_the_minimum_are_usage_errors(argv, capsys):
+    assert usage_exit_code(argv) == 2
+
+
+def test_map_sample_round_trip_next_to_the_pole(capsys):
+    # f1 sends this point to radius 2e12, far out on the radial extension
+    code, out = run(["map", "sample", "--points=0.999999999999,0", "--roundtrip"], capsys)
+    assert code == 0
+    _, rows = rows_of(out)
+    assert float(rows[0]["roundtrip_error"]) <= 1e-9
+
+
+def test_distortion_field_csv_finite_down_to_1e_300(capsys):
+    code, out = run(["distortion", "field", "--r-min", "1e-300", "--nr", "16",
+                     "--ntheta", "8"], capsys)
+    assert code == 0
+    _, rows = rows_of(out)
+    assert len(rows) == 16 * 8
+    for r in rows:
+        assert math.isfinite(float(r["K"])) and float(r["K"]) >= 1.0
+        assert math.isfinite(float(r["op_norm"]))
+        # jac_det ~ r^-2 leaves the double range below r of about 1e-155
+        assert float(r["jac_det"]) > 0.0
+
+
 def test_numeric_error_exit_code(capsys):
     code = main(["integrate", "--kpow", "-1"])
     assert code == 3

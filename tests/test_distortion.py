@@ -13,16 +13,21 @@ from cuspmap import (
     PolarPoint,
     ProfileParams,
     SeamError,
+    Sector,
     chain_distortion,
+    chain_distortion_values,
     cusp_jacobian,
     cusp_jacobian_fd,
     distortion,
-    distortion_field,
+    distortion_table,
     fit_growth_envelope,
+    mobius_to_halfplane,
     mobius_to_halfplane_inv,
     op_norm,
 )
 from cuspmap.distortion import Jacobian2, distortion_values
+from cuspmap.profile import evaluate
+from cuspmap.verify import halton
 
 PARAMS = ProfileParams()
 BASE = PolarPoint.from_angle(1.0, 0.0)
@@ -121,11 +126,11 @@ def test_distortion_conventions():
 
 def test_field_bounds_and_sector_comparison():
     rs = np.geomspace(1e-8, 0.99, 12)
-    thetas = [0.0, 0.8, math.pi / 2, math.pi, 4.2]
-    field = distortion_field(rs, thetas, PARAMS)
-    assert len(field) == len(rs) * len(thetas)
-    assert all(s.K >= 1.0 for s in field)
-    assert all(s.jac_det > 0.0 for s in field)
+    thetas = np.array([0.0, 0.8, math.pi / 2, math.pi, 4.2])
+    _, det, k = distortion_table(np.log(rs)[:, None], thetas[None, :], PARAMS)
+    assert k.shape == det.shape == (len(rs), len(thetas))
+    assert np.all(k >= 1.0)
+    assert np.all(det > 0.0)
     for r in (1e-4, 1e-6, 1e-8):
         k_in = distortion(matrix(r, 0.0)).K
         k_out = distortion(matrix(r, math.pi)).K
@@ -135,8 +140,8 @@ def test_field_bounds_and_sector_comparison():
 def test_field_moderate_away_from_tip():
     rs = np.geomspace(0.9, 1.0, 8)
     thetas = np.linspace(-math.pi / 2 + 1e-6, 3 * math.pi / 2 - 1e-6, 32)
-    field = distortion_field(rs, thetas, PARAMS)
-    assert max(s.K for s in field) < 1e3
+    k = distortion_table(np.log(rs)[:, None], thetas[None, :], PARAMS)[2]
+    assert k.max() < 1e3
 
 
 def test_deep_values_against_oracle():
@@ -173,6 +178,35 @@ def test_chain_distortion_blows_up_toward_the_singular_point():
     chain = MapChain(PARAMS)
     ks = [chain_distortion(PlanePoint(-1.0 + 10.0**-k, 0.0), chain).K for k in (2, 4, 8, 16)]
     assert all(b > a for a, b in zip(ks[:-1], ks[1:]))
+
+
+def test_chain_distortion_values_match_the_scalar_composition():
+    # reference: f1 as a Python complex division, polar coordinates by
+    # math.atan2, the displayed matrix and the 2x2 closed forms on doubles;
+    # beyond r = 1 the extension's diagonal differential diag(G(1), G(1) tang)
+    chain = MapChain(PARAMS)
+    pts = halton(4000, skip=3)
+    rad = 0.999 * np.sqrt(pts[:, 0])
+    z = rad * np.exp(2j * math.pi * pts[:, 1])
+    one = evaluate(1.0, PARAMS)
+    k_values = chain_distortion_values(z, chain)
+    worst = {"K": 0.0, "op_norm": 0.0, "jac_det": 0.0}
+    for zi, ki in zip(z, k_values):
+        x = PlanePoint(zi.real, zi.imag)
+        p = PolarPoint.from_plane(mobius_to_halfplane(x))
+        if p.r <= 1.0:
+            ref = distortion(cusp_jacobian(p, PARAMS))
+        else:
+            tang = (2.0 / math.pi) * one.half_angle
+            tang = tang if p.sector is Sector.INNER else 2.0 - tang
+            g1 = one.image_radius
+            ref = distortion(Jacobian2(g1, 0.0, 0.0, g1 * tang, p))
+        got = chain_distortion(x, chain)
+        assert got.K == ki
+        for name in worst:
+            want = getattr(ref, name)
+            worst[name] = max(worst[name], abs(getattr(got, name) - want) / want)
+    assert max(worst.values()) <= 1e-12
 
 
 def test_chain_distortion_extension_constants():

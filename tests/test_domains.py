@@ -12,9 +12,9 @@ from cuspmap import (
     PowerCuspDomain,
     arc_diameter,
     boundary_arc,
-    preimage_arc_diameter,
+    preimage_arc,
 )
-from cuspmap.domains import _x1_max_for, preimage_arc
+from cuspmap.domains import _x1_max_for
 
 EXP = ExpCuspDomain()
 CHAIN = MapChain.default()
@@ -134,10 +134,10 @@ def test_membership_consistency_with_arc():
 
 
 def test_preimage_arc_basics():
-    res = preimage_arc_diameter(0.05, CHAIN, 64)
+    res = preimage_arc(0.05, CHAIN, 64)
     assert res.diameter <= 2.0
     assert math.isfinite(res.log_diameter)
-    again = preimage_arc_diameter(0.05, CHAIN, 64)
+    again = preimage_arc(0.05, CHAIN, 64)
     assert again.log_diameter == pytest.approx(res.log_diameter, rel=1e-9)
     # the collapse is double-exponential: the double value underflows to 0
     assert res.diameter == 0.0
@@ -145,7 +145,7 @@ def test_preimage_arc_basics():
 
 
 def test_preimage_arc_monotone_and_linear_regime():
-    logs = [preimage_arc_diameter(t, CHAIN, 32).log_diameter for t in (0.025, 0.05, 0.1, 0.2, 0.3)]
+    logs = [preimage_arc(t, CHAIN, 32).log_diameter for t in (0.025, 0.05, 0.1, 0.2, 0.3)]
     assert all(b > a for a, b in zip(logs[:-1], logs[1:]))
     wide = preimage_arc(0.3, CHAIN, 32)
     # still representable here: the linear diameter agrees with its log
