@@ -29,7 +29,7 @@ from .io_formats import csv_text, json_text, write_pgm
 from .maps import MapChain, boundary_image_trace, chain_inverse_values, chain_values
 from .profile import ProfileParams
 from .quadrature import AnnularScheme, distortion_exp_integral, distortion_power_integral
-from .verify import run_suite
+from .verify import run_suite, select_criteria
 
 __all__ = ["main"]
 
@@ -71,6 +71,15 @@ def _int_at_least(low: int):
         return value
 
     return parse
+
+
+def _criterion_filter(text: str) -> str:
+    """argparse type: a criterion number or name fragment that matches one."""
+    try:
+        select_criteria(text)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return text
 
 
 def _parse_floats(text: str):
@@ -208,7 +217,8 @@ def _build_parser() -> argparse.ArgumentParser:
     th.add_argument("--arc-samples", type=_int_at_least(2), default=64)
 
     p_ver = sub.add_parser("verify", parents=[common], help="run the certification suite")
-    p_ver.add_argument("--only", default=None, help="criterion number or name fragment")
+    p_ver.add_argument("--only", type=_criterion_filter, default=None,
+                       help="criterion number or name fragment")
 
     return parser
 
@@ -365,6 +375,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(_fold_config(argv, parser))
+    if args.command == "distortion" and not (0.0 < args.r_min < args.r_max < math.inf):
+        parser.error(f"need 0 < --r-min < --r-max < inf, got {args.r_min} and {args.r_max}")
 
     dispatch = {
         ("map", "sample"): _cmd_map_sample,

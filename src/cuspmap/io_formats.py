@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-__all__ = ["fmt17", "csv_text", "write_csv", "json_text", "write_json", "pgm_bytes", "write_pgm"]
+__all__ = ["fmt17", "csv_text", "json_text", "pgm_bytes", "write_pgm"]
 
 
 def fmt17(x) -> str:
@@ -38,11 +38,6 @@ def csv_text(header, rows) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(csv_text(header, rows))
 
 
 def _json_value(v, out) -> None:
@@ -82,11 +77,6 @@ def json_text(obj) -> str:
     out = []
     _json_value(obj, out)
     return "".join(out) + "\n"
-
-
-def write_json(path, obj) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(json_text(obj))
 
 
 def pgm_bytes(values: np.ndarray, lo: float = None, hi: float = None) -> bytes:

@@ -41,7 +41,8 @@ from .maps import (
 from .profile import ProfileParams, evaluate
 from .quadrature import AnnularScheme, Verdict, distortion_exp_integral, distortion_power_integral
 
-__all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_suite", "halton"]
+__all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_suite", "select_criteria",
+           "halton"]
 
 _HALF_PI = math.pi / 2.0
 
@@ -394,8 +395,11 @@ def run_criterion(index: int, out_dir=None, cg: float = 16.0) -> CriterionResult
     return CRITERIA[index](target, cg)
 
 
-def run_suite(out_dir=None, cg: float = 16.0, only=None, report=print):
-    """Run selected criteria (all by default); returns the result list."""
+def select_criteria(only=None) -> list:
+    """Indices of the criteria matching a number or name fragment (all for None).
+
+    Raises KeyError when nothing matches.
+    """
     selected = sorted(CRITERIA)
     if only:
         needle = str(only).lower()
@@ -404,8 +408,13 @@ def run_suite(out_dir=None, cg: float = 16.0, only=None, report=print):
                     or needle in _INFO[i][0]]
         if not selected:
             raise KeyError(f"no criterion matches {only!r}")
+    return selected
+
+
+def run_suite(out_dir=None, cg: float = 16.0, only=None, report=print):
+    """Run selected criteria (all by default); returns the result list."""
     results = []
-    for idx in selected:
+    for idx in select_criteria(only):
         res = run_criterion(idx, out_dir, cg)
         results.append(res)
         report(res.line())

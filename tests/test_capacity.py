@@ -22,6 +22,7 @@ from cuspmap import (
     superpolynomial_decay_check,
     tip_capacity_experiment,
 )
+from cuspmap import capacity as capacity_module
 from cuspmap.capacity import Grid2D, preimage_diameter_bound_log
 
 EXP = ExpCuspDomain()
@@ -128,6 +129,108 @@ def test_grid_capacity_iteration_budget():
     with pytest.raises(ConvergenceError):
         grid_capacity(None, F, E, dom, grid,
                       GridSolverConfig(resolution=64, max_iterations=2))
+
+
+def reference_cg_energy(wx, wy, F, E, dom, tolerance=1e-12):
+    """Unpreconditioned CG on the same 5-point condenser, written out plainly."""
+    wx = wx * (dom[:-1, :] & dom[1:, :])
+    wy = wy * (dom[:, :-1] & dom[:, 1:])
+    free = dom & ~F & ~E
+    fixed = np.where(E, 1.0, 0.0)
+
+    def div_flux(v):  # sum_j w_ij (v_j - v_i) at every node
+        out = np.zeros_like(v)
+        fx = wx * (v[1:, :] - v[:-1, :])
+        out[:-1, :] += fx
+        out[1:, :] -= fx
+        fy = wy * (v[:, 1:] - v[:, :-1])
+        out[:, :-1] += fy
+        out[:, 1:] -= fy
+        return out
+
+    def apply(v):
+        return np.where(free, -div_flux(np.where(free, v, 0.0)), 0.0)
+
+    b = np.where(free, div_flux(fixed), 0.0)
+    u = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rs = float(np.sum(r * r))
+    threshold = tolerance * math.sqrt(float(np.sum(b * b)))
+    for _ in range(20000):
+        if math.sqrt(rs) <= threshold:
+            break
+        ap = apply(p)
+        alpha = rs / float(np.sum(p * ap))
+        u += alpha * p
+        r -= alpha * ap
+        rs_new = float(np.sum(r * r))
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    else:
+        raise AssertionError("reference CG did not converge")
+    full = np.where(free, u, fixed)
+    return float(np.sum(wx * (full[1:, :] - full[:-1, :]) ** 2)
+                 + np.sum(wy * (full[:, 1:] - full[:, :-1]) ** 2))
+
+
+def recorded_solves(monkeypatch):
+    """Replace grid_capacity by a wrapper that records its arguments and result."""
+    calls = []
+    solve = capacity_module.grid_capacity
+
+    def recording(weight, F, E, dom, grid, cfg):
+        cap = solve(weight, F, E, dom, grid, cfg)
+        calls.append(((weight, F, E, dom, grid, cfg), cap))
+        return cap
+
+    monkeypatch.setattr(capacity_module, "grid_capacity", recording)
+    return calls
+
+
+def test_preconditioned_solver_matches_plain_cg_on_the_annulus():
+    grid, F, E, dom = annulus_condenser(0.25, 1.0, 64)
+    cap = grid_capacity(None, F, E, dom, grid, GridSolverConfig(resolution=64))
+    ones = (np.ones((grid.nx - 1, grid.ny)), np.ones((grid.nx, grid.ny - 1)))
+    reference = reference_cg_energy(*ones, F, E, dom)
+    assert abs(cap.value - reference) <= 1e-9 * reference
+
+
+def test_preconditioned_solver_matches_plain_cg_on_the_tip_condenser(monkeypatch):
+    calls = recorded_solves(monkeypatch)
+    tip_capacity_experiment([0.45], MapChain.default(), GridSolverConfig(resolution=48),
+                            arc_samples=24)
+    ((weights, F, E, dom, grid, cfg), cap), = calls
+    wx, wy = weights
+    assert wx.min() < 0.1 * wx.max()  # 1/K varies across the disk
+    reference = reference_cg_energy(wx, wy, F, E, dom)
+    assert abs(cap.value - reference) <= 1e-9 * reference
+
+
+@pytest.mark.parametrize("res", [64, 128])
+def test_grid_capacity_iterations_and_residual(res):
+    grid, F, E, dom = annulus_condenser(0.25, 1.0, res)
+    cfg = GridSolverConfig(resolution=res)
+    cap = grid_capacity(None, F, E, dom, grid, cfg)
+    assert 0 < cap.iterations < 50
+    assert 0.0 < cap.residual <= cfg.tolerance
+    assert cusp_test_energy(0.2, 1.0).iterations is None
+    assert cusp_test_energy(0.2, 1.0).residual is None
+
+
+def test_tip_experiment_reuses_the_capacity_of_an_unchanged_mask(monkeypatch):
+    chain = MapChain.default()
+    cfg = GridSolverConfig(resolution=48)
+    calls = recorded_solves(monkeypatch)
+    rows = tip_capacity_experiment([0.45, 0.25, 0.125], chain, cfg, arc_samples=24)
+    # 0.25 and 0.125 stamp the same E mask at this resolution, 0.45 does not
+    assert len(calls) == 2
+    assert not np.array_equal(calls[0][0][2], calls[1][0][2])
+    assert rows[1].capacity == rows[2].capacity != rows[0].capacity
+    assert rows[1].log_diam_preimage != rows[2].log_diam_preimage
+    # the reused value is the one a solve of that row alone gives
+    alone = tip_capacity_experiment([0.125], chain, cfg, arc_samples=24)
+    assert alone[0].capacity == rows[2].capacity
 
 
 def test_discrete_energy_of_sampled_test_function():

@@ -232,6 +232,23 @@ def test_sizes_below_the_minimum_are_usage_errors(argv, capsys):
     assert usage_exit_code(argv) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["distortion", "field", "--r-min", "0"],
+    ["distortion", "field", "--r-min", "-1e-3"],
+    ["distortion", "field", "--r-min", "2"],
+    ["distortion", "field", "--r-min", "0.5", "--r-max", "0.5"],
+    ["distortion", "fit-bound", "--theta", "pi", "--r-min", "0"],
+])
+def test_radii_outside_the_open_range_are_usage_errors(argv, capsys):
+    assert usage_exit_code(argv) == 2
+    assert "--r-min" in capsys.readouterr().err
+
+
+def test_verify_only_without_a_match_is_a_usage_error(capsys):
+    assert usage_exit_code(["verify", "--only", "nosuch"]) == 2
+    assert "no criterion matches 'nosuch'" in capsys.readouterr().err
+
+
 def test_map_sample_round_trip_next_to_the_pole(capsys):
     # f1 sends this point to radius 2e12, far out on the radial extension
     code, out = run(["map", "sample", "--points=0.999999999999,0", "--roundtrip"], capsys)
