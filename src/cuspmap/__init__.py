@@ -17,37 +17,24 @@ from .errors import (
     SeamError,
     ToolkitError,
 )
-from .profile import ProfileEval, ProfileParams, depth, depth_inverse, evaluate
+from .profile import ProfileEval, ProfileParams, depth, evaluate
 from .maps import (
     MapChain,
     MapStage,
     PlanePoint,
     PolarPoint,
-    Sector,
-    apply_chain,
-    apply_chain_inv,
     boundary_image_trace,
     chain_inverse_values,
     chain_values,
-    cusp_map,
-    cusp_map_inv,
     mobius_to_disk,
     mobius_to_disk_inv,
     mobius_to_halfplane,
     mobius_to_halfplane_inv,
 )
-from .domains import (
-    BoundaryArc,
-    ExpCuspDomain,
-    PowerCuspDomain,
-    arc_diameter,
-    boundary_arc,
-    preimage_arc,
-)
+from .domains import arc_diameter, preimage_arc
 from .distortion import (
     DistortionSample,
     Jacobian2,
-    chain_distortion,
     chain_distortion_values,
     cusp_jacobian,
     cusp_jacobian_fd,
@@ -61,19 +48,16 @@ from .quadrature import (
     AnnularScheme,
     IntegrabilityReport,
     Verdict,
-    classify,
     distortion_exp_integral,
     distortion_power_integral,
 )
 from .capacity import (
     CapacityEstimate,
-    CuspTestFunction,
     GridSolverConfig,
     annulus_condenser,
     capacity_lower_bound,
     cusp_test_energy,
     grid_capacity,
-    preimage_diameter_bound,
     superpolynomial_decay_check,
     tip_capacity_experiment,
 )

@@ -2,8 +2,8 @@
 
 Three layers:
 
-  * the explicit Lipschitz test function on the exponential-cusp domain and
-    its exact Dirichlet energy (a reciprocal of an integral of e^{1/t}; the
+  * the exact Dirichlet energy of the explicit Lipschitz test function on the
+    exponential-cusp domain (a reciprocal of an integral of e^{1/t}; the
     energy decays faster than every power of the cutoff, so values are kept
     in log space alongside doubles);
 
@@ -19,20 +19,19 @@ Three layers:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from enum import Enum
 
 import numpy as np
 
 from .distortion import chain_distortion_values
-from .domains import ExpCuspDomain, arc_diameter, preimage_arc
+from .domains import arc_diameter, preimage_arc
 from .errors import ConvergenceError, DomainError, MaskError
-from .maps import MapChain, PlanePoint
+from .maps import MapChain
 
 __all__ = [
     "CapacityMethod",
     "CapacityEstimate",
-    "CuspTestFunction",
     "cusp_test_energy",
     "DecayCheck",
     "DecayReport",
@@ -42,9 +41,9 @@ __all__ = [
     "grid_capacity",
     "annulus_condenser",
     "capacity_lower_bound",
-    "preimage_diameter_bound",
     "preimage_diameter_bound_log",
     "ExperimentRow",
+    "experiment_table",
     "tip_capacity_experiment",
 ]
 
@@ -74,7 +73,7 @@ class CapacityEstimate:
 
 
 # ---------------------------------------------------------------------------
-# The explicit test function and its energy
+# The energy of the explicit test function
 # ---------------------------------------------------------------------------
 
 def _log_width_integral(a: float, b: float) -> float:
@@ -100,38 +99,14 @@ def _log_width_integral(a: float, b: float) -> float:
     return m + math.log(float(np.sum(np.exp(allv - m))))
 
 
-@dataclass(frozen=True)
-class CuspTestFunction:
-    """Lipschitz test function: 1 near the tip, 0 past half the separation.
-
-    r is the inner cutoff, d = min(1, distance of the far set from the tip);
-    admissible for any condenser pairing the tip arc against that far set.
-    """
-
-    r: float
-    d: float
-
-    def __post_init__(self):
-        if not (0.0 < self.r < self.d / 2.0):
-            raise DomainError(f"need 0 < r < d/2, got r={self.r}, d={self.d}")
-
-    def value(self, x: PlanePoint, domain: ExpCuspDomain = ExpCuspDomain()) -> float:
-        if not domain.contains(x):
-            raise DomainError(f"test function evaluated outside the cusp domain: {x}")
-        if x.x1 <= self.r:
-            return 1.0
-        if x.x1 > self.d / 2.0:
-            return 0.0
-        num = _log_width_integral(self.r, x.x1)
-        den = _log_width_integral(self.r, self.d / 2.0)
-        return 1.0 - math.exp(num - den)
-
-
 def cusp_test_energy(r: float, d: float) -> CapacityEstimate:
-    """Exact Dirichlet energy of the test function: 1 / int_r^{d/2} e^{1/t} dt.
+    """Exact Dirichlet energy 1 / int_r^{d/2} e^{1/t} dt of the test function.
 
-    The double value underflows to 0 for r below ~0.0007; log_value is exact
-    regardless.
+    The test function is 1 for x1 <= r, 0 for x1 >= d/2 and
+    1 - int_r^{x1} e^{1/t} dt / int_r^{d/2} e^{1/t} dt in between; with
+    d = min(1, distance of the far set from the tip) it is admissible for any
+    condenser pairing the tip arc against that far set. The double value
+    underflows to 0 for r below ~0.0007; log_value is exact regardless.
     """
     if not (0.0 < r < d / 2.0 <= 0.5):
         raise DomainError(f"need 0 < r < d/2 <= 1/2, got r={r}, d={d}")
@@ -226,9 +201,9 @@ class Grid2D:
 
 def _edge_midpoint_weights(grid: Grid2D, weight):
     """Weight arrays on x-edges (nx-1, ny) and y-edges (nx, ny-1)."""
-    X, Y = grid.nodes()
     if weight is None:
         return np.ones((grid.nx - 1, grid.ny)), np.ones((grid.nx, grid.ny - 1))
+    X, Y = grid.nodes()
     wx = weight(0.5 * (X[:-1, :] + X[1:, :]), 0.5 * (Y[:-1, :] + Y[1:, :]))
     wy = weight(0.5 * (X[:, :-1] + X[:, 1:]), 0.5 * (Y[:, :-1] + Y[:, 1:]))
     return np.asarray(wx, dtype=float), np.asarray(wy, dtype=float)
@@ -480,14 +455,17 @@ def annulus_condenser(rho: float, R: float, resolution: int):
 # Closed-form bounds
 # ---------------------------------------------------------------------------
 
-def capacity_lower_bound(lam: float, exp_mass: float, diam_e: float, C: float = 1.0) -> float:
-    """C * lam * (log(sqrt(4 L / pi) / diam E))^-2 with L the exp-distortion mass."""
-    if not (lam > 0.0 and diam_e > 0.0 and exp_mass > 0.0):
-        raise DomainError("lambda, diam E and the exponential mass must be positive")
-    arg = math.sqrt(4.0 * exp_mass / math.pi) / diam_e
-    if arg <= 1.0:
-        raise DomainError(f"log argument must exceed 1, got {arg}")
-    return C * lam * math.log(arg) ** -2.0
+def capacity_lower_bound(lam: float, exp_mass: float, log_diam_e: float, C: float = 1.0) -> float:
+    """C * lam * (log(sqrt(4 L / pi) / diam E))^-2 with L the exp-distortion mass.
+
+    Takes log diam E, so the bound stays exact after diam E underflows.
+    """
+    if not (lam > 0.0 and exp_mass > 0.0):
+        raise DomainError("lambda and the exponential mass must be positive")
+    log_arg = 0.5 * math.log(4.0 * exp_mass / math.pi) - log_diam_e
+    if not (log_arg > 0.0):
+        raise DomainError(f"sqrt(4 L / pi) / diam E must exceed 1, got exp({log_arg})")
+    return C * lam * log_arg ** -2.0
 
 
 def preimage_diameter_bound_log(diam_eprime: float, lam: float, eps: float,
@@ -498,32 +476,31 @@ def preimage_diameter_bound_log(diam_eprime: float, lam: float, eps: float,
     return math.log(C) - Ctilde * diam_eprime ** (-(1.0 + eps) / lam)
 
 
-def preimage_diameter_bound(diam_eprime: float, lam: float, eps: float,
-                            C: float = 1.0, Ctilde: float = 1.0) -> float:
-    """The preimage-diameter lower bound; underflows to 0.0 when tiny."""
-    lv = preimage_diameter_bound_log(diam_eprime, lam, eps, C, Ctilde)
-    return math.exp(lv) if lv > -745.0 else 0.0
-
-
 # ---------------------------------------------------------------------------
 # Capacity experiment toward the cusp tip
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ExperimentRow:
+    """One row of the tip experiment; the fields in output column order."""
+
     t: float
-    diam_image_arc: float
-    diam_preimage: float
-    log_diam_preimage: float
     capacity: float
     capacity_over_t: float
     capacity_over_t2: float
+    diam_image_arc: float
+    diam_preimage: float
+    log_diam_preimage: float
     lower_bound_ref: float
     log_diam_bound: float
 
 
+def experiment_table(rows):
+    """Header and value tuples of tip-experiment rows, for csv_text."""
+    return [f.name for f in fields(ExperimentRow)], [astuple(r) for r in rows]
+
+
 def tip_capacity_experiment(t_list, chain: MapChain, cfg: GridSolverConfig,
-                            lam: float = 1.0, eps: float = 1.0,
                             arc_samples: int = 64) -> list:
     """Pullback condenser capacities for a shrinking tip arc.
 
@@ -532,8 +509,10 @@ def tip_capacity_experiment(t_list, chain: MapChain, cfg: GridSolverConfig,
     the 1/K-weighted grid capacity of that condenser is solved. The row also
     carries both arc diameters (the preimage one additionally as a log value,
     since it collapses double-exponentially), the classical lower-bound
-    formula evaluated with reference constants, and the log of the
-    preimage-diameter bound.
+    formula at the preimage log-diameter, and the log of the
+    preimage-diameter bound at the image-arc diameter. Both bounds take the
+    reference constants lambda = eps = C = Ctilde = 1 and the exponential
+    mass L = e pi of a conformal reference map.
     """
     ts = [float(t) for t in t_list]
     if len(ts) < 1 or any(b >= a for a, b in zip(ts[:-1], ts[1:])):
@@ -567,17 +546,15 @@ def tip_capacity_experiment(t_list, chain: MapChain, cfg: GridSolverConfig,
             cap = grid_capacity(weights, F, E, dom, grid, cfg)
         prev_E = E
         d_img = arc_diameter(arc.image_samples)
-        ref_mass = math.e * math.pi  # exp mass of a conformal reference map
-        diam_for_bound = max(arc.diameter, math.exp(max(arc.log_diameter, -700.0)))
         rows.append(ExperimentRow(
             t=t,
-            diam_image_arc=d_img,
-            diam_preimage=arc.diameter,
-            log_diam_preimage=arc.log_diameter,
             capacity=cap.value,
             capacity_over_t=cap.value / t,
             capacity_over_t2=cap.value / t**2,
-            lower_bound_ref=capacity_lower_bound(lam, ref_mass, diam_for_bound),
-            log_diam_bound=preimage_diameter_bound_log(d_img, lam, eps),
+            diam_image_arc=d_img,
+            diam_preimage=arc.diameter,
+            log_diam_preimage=arc.log_diameter,
+            lower_bound_ref=capacity_lower_bound(1.0, math.e * math.pi, arc.log_diameter),
+            log_diam_bound=preimage_diameter_bound_log(d_img, 1.0, 1.0),
         ))
     return rows

@@ -20,6 +20,7 @@ from .capacity import (
     GridSolverConfig,
     annulus_condenser,
     cusp_test_energy,
+    experiment_table,
     grid_capacity,
     tip_capacity_experiment,
 )
@@ -178,15 +179,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dist = sub.add_parser("distortion", help="distortion field and growth-envelope fit")
     dist_sub = p_dist.add_subparsers(dest="subcommand", required=True)
     df = dist_sub.add_parser("field", parents=[common])
-    df.add_argument("--r-min", type=float, default=1e-8)
-    df.add_argument("--r-max", type=float, default=1.0)
+    df.add_argument("--r-min", dest="r_lo", type=float, default=1e-8)
+    df.add_argument("--r-max", dest="r_hi", type=float, default=1.0)
     df.add_argument("--nr", type=_int_at_least(1), default=64)
     df.add_argument("--ntheta", type=_int_at_least(1), default=64)
     df.add_argument("--chain", default=None, help="comma list of stages, e.g. f1,f2,f3")
     fb = dist_sub.add_parser("fit-bound", parents=[common])
     fb.add_argument("--theta", type=_parse_theta, required=True)
-    fb.add_argument("--r-min", type=float, default=1e-30)
-    fb.add_argument("--r-max", type=float, default=1e-2)
+    fb.add_argument("--r-min", dest="r_lo", type=float, default=1e-30)
+    fb.add_argument("--r-max", dest="r_hi", type=float, default=1e-2)
     fb.add_argument("--n", type=_int_at_least(1), default=29)
     fb.add_argument("--band", type=_parse_floats, default=[0.05, 2.0])
 
@@ -266,7 +267,7 @@ def _cmd_map_trace(args) -> int:
 
 def _cmd_distortion_field(args) -> int:
     chain = _chain_from(args)
-    rs = np.geomspace(args.r_min, args.r_max, args.nr)
+    rs = np.geomspace(args.r_lo, args.r_hi, args.nr)
     thetas = -math.pi / 2.0 + 2.0 * math.pi * (np.arange(args.ntheta) + 0.5) / args.ntheta
     if args.format == "pgm":
         if args.out == "-":
@@ -290,7 +291,7 @@ def _cmd_distortion_field(args) -> int:
 
 def _cmd_distortion_fit(args) -> int:
     params = ProfileParams(cg=args.cg)
-    rs = np.geomspace(args.r_min, args.r_max, args.n)
+    rs = np.geomspace(args.r_lo, args.r_hi, args.n)
     fit = fit_growth_envelope(rs, args.theta, params, band=tuple(args.band))
     payload = {
         "theta": fit.theta,
@@ -310,7 +311,7 @@ def _cmd_distortion_fit(args) -> int:
 def _cmd_integrate(args) -> int:
     chain = _chain_from(args)
     if args.geometric_depth is not None:
-        scheme = AnnularScheme.geometric(args.geometric_depth, steps=args.steps)
+        scheme = AnnularScheme.geometric(args.geometric_depth, args.steps)
     else:
         scheme = AnnularScheme.dyadic(args.depth)
     if args.kpow is not None:
@@ -356,12 +357,7 @@ def _cmd_capacity_theorem1(args) -> int:
     rows = tip_capacity_experiment(sorted(args.t, reverse=True), chain,
                                    GridSolverConfig(resolution=args.resolution),
                                    arc_samples=args.arc_samples)
-    header = ["t", "capacity", "capacity_over_t", "capacity_over_t2", "diam_image_arc",
-              "diam_preimage", "log_diam_preimage", "lower_bound_ref", "log_diam_bound"]
-    table = [(r.t, r.capacity, r.capacity_over_t, r.capacity_over_t2, r.diam_image_arc,
-              r.diam_preimage, r.log_diam_preimage, r.lower_bound_ref, r.log_diam_bound)
-             for r in rows]
-    _emit_table(args, header, table)
+    _emit_table(args, *experiment_table(rows))
     return 0
 
 
@@ -375,8 +371,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(_fold_config(argv, parser))
-    if args.command == "distortion" and not (0.0 < args.r_min < args.r_max < math.inf):
-        parser.error(f"need 0 < --r-min < --r-max < inf, got {args.r_min} and {args.r_max}")
+    if args.command == "distortion" and not (0.0 < args.r_lo < args.r_hi < math.inf):
+        parser.error(f"need 0 < --r-min < --r-max < inf, got {args.r_lo} and {args.r_hi}")
 
     dispatch = {
         ("map", "sample"): _cmd_map_sample,

@@ -28,9 +28,7 @@ from .maps import (
     _TO_HALFPLANE,
     MapChain,
     MapStage,
-    PlanePoint,
     PolarPoint,
-    _extended,
     _mobius_values,
     _polar,
     _squeeze_polar,
@@ -47,7 +45,6 @@ __all__ = [
     "distortion",
     "distortion_values",
     "distortion_table",
-    "chain_distortion",
     "chain_distortion_values",
     "fit_growth_envelope",
 ]
@@ -82,7 +79,9 @@ def _scaled_entries(logr, theta, log_cg):
     """
     beyond = logr > 0.0
     l1, l2, g, G, aspect, slant = _curves(np.minimum(logr, 0.0), log_cg)
-    _, r_da, r_dG = _scaled_rates(l1, l2, g, aspect, slant)
+    # below log r = -1e154, l1^2 overflows and r_da is 0 (its true value underflows)
+    with np.errstate(over="ignore"):
+        _, r_da, r_dG = _scaled_rates(l1, l2, g, aspect, slant)
     half_angle = np.arctan(aspect)
     # capacity grids pass 10^5 points: release each temporary once done
     del l1, l2, aspect
@@ -108,21 +107,30 @@ def _matrix_invariants(a11, a12, a21, a22):
 
 
 def _invariants(logr, theta, log_cg):
-    """(K, squared operator norm, determinant) of the entries of _scaled_entries.
+    """K, and op_norm^2 and det of 2^s times the entries of _scaled_entries, and s.
 
-    The extension's diagonal differential has K = max(tang, 1/tang) exactly.
+    The entries shrink like 1/|log r|, so their squares and products in
+    _matrix_invariants would underflow below about log r = -1e77 and give a
+    wrong K. The power of two 2^s brings the largest entry into [1/2, 1);
+    the scaling is exact and leaves K unchanged. The extension's diagonal
+    differential has K = max(tang, 1/tang) exactly.
     """
     m11, m21, m22, tang = _scaled_entries(logr, theta, log_cg)
+    s = -np.frexp(np.maximum(np.maximum(m11, m22), np.abs(m21)))[1]  # m11, m22 > 0
+    # one entry at a time, so that at most one extra array is alive
+    m11 = np.ldexp(m11, s)
+    m21 = np.ldexp(m21, s)
+    m22 = np.ldexp(m22, s)
     k, norm2, det = _matrix_invariants(m11, 0.0, m21, m22)
-    return np.where(logr > 0.0, np.maximum(tang, 1.0 / tang), k), norm2, det
+    return np.where(logr > 0.0, np.maximum(tang, 1.0 / tang), k), norm2, det, s
 
 
 def _table(logr, theta, log_cg):
     """(op_norm, jac_det, K) at log-radii of any sign and normalized angles."""
-    k, norm2, det = _invariants(logr, theta, log_cg)
+    k, norm2, det, s = _invariants(logr, theta, log_cg)
     with np.errstate(over="ignore", divide="ignore"):
-        s = np.exp(np.minimum(logr, 0.0))
-        return np.sqrt(norm2) / s, det / s / s, k
+        r = np.exp(np.minimum(logr, 0.0))
+        return np.ldexp(np.sqrt(norm2), -s) / r, np.ldexp(det, -2 * s) / r / r, k
 
 
 def _check_closed_form(logr):
@@ -232,15 +240,6 @@ def chain_distortion_values(points, chain: MapChain):
         return np.ones(np.shape(points))
     logr, theta, good = _chain_polar(points, chain)
     return np.where(good, _invariants(logr, theta, chain.params.log_cg())[0], 1.0)
-
-
-def chain_distortion(x: PlanePoint, chain: MapChain) -> DistortionSample:
-    """Distortion of the chain at x; Mobius stages contribute factor 1."""
-    here = PolarPoint.from_plane(x) if not x.at_infinity else PolarPoint.from_angle(0.0, 0.0)
-    logr, theta, good = _chain_polar(_extended(x), chain)
-    if not (chain.has_cusp() and good):
-        return DistortionSample(here, 1.0, 1.0, 1.0)
-    return DistortionSample(here, *(float(v) for v in _table(logr, theta, chain.params.log_cg())))
 
 
 @dataclass(frozen=True)

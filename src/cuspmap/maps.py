@@ -15,7 +15,6 @@ of its unit-circle restriction.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -28,7 +27,6 @@ from .profile import ProfileParams, _curves, _scaled_rates
 __all__ = [
     "PlanePoint",
     "PolarPoint",
-    "Sector",
     "MapStage",
     "MapChain",
     "TraceRow",
@@ -38,10 +36,6 @@ __all__ = [
     "mobius_to_disk_inv",
     "inner_angle_map",
     "outer_angle_map",
-    "cusp_map",
-    "cusp_map_inv",
-    "apply_chain",
-    "apply_chain_inv",
     "chain_values",
     "chain_inverse_values",
     "boundary_image_trace",
@@ -81,14 +75,6 @@ class PlanePoint:
         return math.inf if self.at_infinity else math.hypot(self.x1, self.x2)
 
 
-ORIGIN = PlanePoint(0.0, 0.0)
-
-
-class Sector(Enum):
-    INNER = "inner"
-    OUTER = "outer"
-
-
 def normalize_angle(theta: float) -> float:
     """Reduce an angle into [-pi/2, 3pi/2)."""
     t = math.fmod(theta + _HALF_PI, _TWO_PI)
@@ -101,37 +87,26 @@ def normalize_angle(theta: float) -> float:
     return t
 
 
-def _sector_of(theta: float) -> Sector:
-    # both seams, theta = +-pi/2, belong to the outer closed interval
-    return Sector.INNER if -_HALF_PI < theta < _HALF_PI else Sector.OUTER
-
-
 @dataclass(frozen=True)
 class PolarPoint:
-    """Polar point with the seam bookkeeping of the squeeze stage."""
+    """Polar point, theta normalized to [-pi/2, 3pi/2).
+
+    The inner sector is the open interval |theta| < pi/2; both seams,
+    theta = +-pi/2, belong to the outer sector.
+    """
 
     r: float
     theta: float
-    sector: Sector
 
     def __post_init__(self):
         if self.r < 0.0 or not math.isfinite(self.r):
             raise DomainError(f"polar radius must be finite and >= 0, got {self.r}")
         if not (-_HALF_PI <= self.theta < 3.0 * _HALF_PI):
             raise DomainError(f"theta {self.theta} not normalized to [-pi/2, 3pi/2)")
-        if self.sector is not _sector_of(self.theta):
-            raise DomainError(f"sector {self.sector} inconsistent with theta {self.theta}")
 
     @classmethod
     def from_angle(cls, r: float, theta: float) -> "PolarPoint":
-        t = normalize_angle(theta)
-        return cls(r, t, _sector_of(t))
-
-    @classmethod
-    def from_plane(cls, p: PlanePoint) -> "PolarPoint":
-        if p.at_infinity:
-            raise DomainError("cannot take polar coordinates of infinity")
-        return cls.from_angle(math.hypot(p.x1, p.x2), math.atan2(p.x2, p.x1))
+        return cls(r, normalize_angle(theta))
 
 
 class MapStage(Enum):
@@ -164,8 +139,6 @@ class MapChain:
         order = [s for s in _STAGE_ORDER if s in stages]
         if list(stages) != order or len(set(stages)) != len(stages):
             raise DomainError("stages must be distinct and in f1 -> f2 -> f3 order")
-        if MapStage.CUSP in stages and self.params.r_max < 1.0:
-            raise DomainError("the squeeze stage needs r_max >= 1")
 
     @classmethod
     def default(cls, cg: float = 16.0) -> "MapChain":
@@ -282,14 +255,6 @@ def _squeeze_values(w, params: ProfileParams):
     return np.where(regular, rho * np.cos(phi) + 1j * (rho * np.sin(phi)), w)
 
 
-def cusp_map(p: PolarPoint, params: ProfileParams) -> PlanePoint:
-    """The squeeze stage on the whole plane (radial extension beyond r = 1)."""
-    if p.r == 0.0:
-        return ORIGIN
-    rho, phi = _squeeze_polar(np.float64(p.r), np.float64(p.theta), params)
-    return PlanePoint(float(rho * np.cos(phi)), float(rho * np.sin(phi)))
-
-
 # log r range of the inverse radius solve: below the floor an image radius
 # cannot be matched by a double radius
 _LOG_R_FLOOR = math.log(1e-320)
@@ -359,14 +324,6 @@ def _squeeze_inv_values(w, params: ProfileParams):
     return np.where(regular, r * np.cos(theta) + 1j * (r * np.sin(theta)), w)
 
 
-def cusp_map_inv(w: PlanePoint, params: ProfileParams) -> PolarPoint:
-    """Invert the squeeze (see _squeeze_inv_polar); 0 and infinity raise RangeError."""
-    if w.at_infinity or w.norm() == 0.0:
-        raise RangeError("inverse squeeze needs a finite nonzero image point")
-    r, theta = _squeeze_inv_polar(np.float64(w.norm()), math.atan2(w.x2, w.x1), params)
-    return PolarPoint.from_angle(float(r), float(theta))
-
-
 # ---------------------------------------------------------------------------
 # Chain composition
 # ---------------------------------------------------------------------------
@@ -395,24 +352,6 @@ def chain_inverse_values(w, chain: MapChain) -> np.ndarray:
     for stage in reversed(chain.stages):
         z = _STAGE_VALUES[stage][1](z, chain.params)
     return z
-
-
-def _extended(p: PlanePoint) -> complex:
-    """The complex value of a point, inf + inf j for the point at infinity."""
-    return _INF if p.at_infinity else p.as_complex()
-
-
-def _point(z) -> PlanePoint:
-    z = complex(z)
-    return PlanePoint.from_complex(z) if cmath.isfinite(z) else PlanePoint.infinity()
-
-
-def apply_chain(x: PlanePoint, chain: MapChain) -> PlanePoint:
-    return _point(chain_values(_extended(x), chain))
-
-
-def apply_chain_inv(w: PlanePoint, chain: MapChain) -> PlanePoint:
-    return _point(chain_inverse_values(_extended(w), chain))
 
 
 # ---------------------------------------------------------------------------

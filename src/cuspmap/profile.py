@@ -26,7 +26,6 @@ __all__ = [
     "ProfileParams",
     "ProfileEval",
     "depth",
-    "depth_inverse",
     "depth_inverse_log",
     "evaluate",
 ]
@@ -37,30 +36,25 @@ _CHECK_LEVELS = 48
 
 @dataclass(frozen=True)
 class ProfileParams:
-    """Cusp constant cg and working radius range (0, r_max].
+    """Cusp constant cg of the profile on the radius range (0, 1].
 
-    The curves are positive and strictly increasing on (0, r_max] only when
-    loglog(cg / r_max) > 0; both facts are checked at construction, the
+    The curves are positive and strictly increasing on (0, 1] only when
+    loglog(cg) > 0; both facts are checked at construction, the
     monotonicity numerically on a dyadic grid.
     """
 
     cg: float = 16.0
-    r_max: float = 1.0
 
     def __post_init__(self):
         if not (self.cg > 0.0 and math.isfinite(self.cg)):
             raise DomainError(f"cusp constant must be positive and finite, got {self.cg}")
-        if not (0.0 < self.r_max and math.isfinite(self.r_max)):
-            raise DomainError(f"r_max must be positive and finite, got {self.r_max}")
-        l1 = math.log(self.cg) - math.log(self.r_max)
+        l1 = math.log(self.cg)
         if l1 <= 0.0 or math.log(l1) <= 0.0:
-            raise DomainError(
-                f"profile positivity fails at r_max: loglog({self.cg}/{self.r_max}) <= 0"
-            )
-        rs = self.r_max * 2.0 ** -np.arange(_CHECK_LEVELS, dtype=float)
-        d, g = _curves(np.log(rs), math.log(self.cg))[2:4]
+            raise DomainError(f"profile positivity fails at r = 1: loglog({self.cg}) <= 0")
+        rs = 2.0 ** -np.arange(_CHECK_LEVELS, dtype=float)
+        d, g = _curves(np.log(rs), l1)[2:4]
         if not (np.all(np.diff(d) < 0.0) and np.all(np.diff(g) < 0.0)):
-            raise DomainError("depth/image radius are not strictly increasing on (0, r_max]")
+            raise DomainError("depth/image radius are not strictly increasing on (0, 1]")
 
     def log_cg(self) -> float:
         return math.log(self.cg)
@@ -104,14 +98,14 @@ def _scaled_rates(l1, l2, g, aspect, slant):
     return r_dg, r_da, r_dG
 
 
-def _check_range(r: float, params: ProfileParams) -> None:
-    if not (0.0 < r <= params.r_max):
-        raise DomainError(f"radius {r!r} outside (0, {params.r_max}]")
+def _check_range(r: float) -> None:
+    if not (0.0 < r <= 1.0):
+        raise DomainError(f"radius {r!r} outside (0, 1]")
 
 
 def depth(r: float, params: ProfileParams) -> float:
-    """Cusp depth 1/loglog(cg/r); strictly positive on (0, r_max]."""
-    _check_range(r, params)
+    """Cusp depth 1/loglog(cg/r); strictly positive on (0, 1]."""
+    _check_range(r)
     l1 = params.log_cg() - math.log(r)
     l2 = math.log(l1)
     if l2 <= 0.0:
@@ -119,21 +113,15 @@ def depth(r: float, params: ProfileParams) -> float:
     return 1.0 / l2
 
 
-def depth_inverse(value: float, params: ProfileParams) -> float:
-    """Radius with the given depth: cg * exp(-exp(1/value)).
-
-    Underflows gracefully to 0.0 once the true radius drops below the
-    smallest subnormal; use depth_inverse_log when the log-radius is needed.
-    """
-    return math.exp(depth_inverse_log(value, params))
-
-
 def depth_inverse_log(value: float, params: ProfileParams) -> float:
-    """log of the radius with the given depth (finite far past underflow)."""
+    """log of the radius with the given depth, log cg - exp(1/value).
+
+    Finite far past the underflow of the radius itself.
+    """
     if not (0.0 < value and math.isfinite(value)):
-        raise DomainError(f"depth value {value!r} outside (0, depth(r_max)]")
-    if value > depth(params.r_max, params) * (1.0 + 1e-12):
-        raise DomainError(f"depth value {value!r} exceeds depth(r_max)")
+        raise DomainError(f"depth value {value!r} outside (0, depth(1)]")
+    if value > depth(1.0, params) * (1.0 + 1e-12):
+        raise DomainError(f"depth value {value!r} exceeds depth(1)")
     try:
         e = math.exp(1.0 / value)
     except OverflowError:
@@ -143,7 +131,7 @@ def depth_inverse_log(value: float, params: ProfileParams) -> float:
 
 def evaluate(r: float, params: ProfileParams) -> ProfileEval:
     """All profile quantities and first derivatives at r."""
-    _check_range(r, params)
+    _check_range(r)
     l1, l2, g, G, aspect, slant = _curves(np.float64(math.log(r)), params.log_cg())
     r_dg, r_da, r_dG = _scaled_rates(l1, l2, g, aspect, slant)
     return ProfileEval(

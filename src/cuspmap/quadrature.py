@@ -31,7 +31,6 @@ __all__ = [
     "IntegrabilityReport",
     "distortion_power_integral",
     "distortion_exp_integral",
-    "classify",
 ]
 
 _HALF_PI = math.pi / 2.0
@@ -180,30 +179,6 @@ def _verdict_from_ratios(ratios, n_partials) -> Verdict:
     if all(r >= 1.1 for r in tail):
         return Verdict.DIVERGENT
     return Verdict.INCONCLUSIVE
-
-
-def classify(partials, log_domain: bool = False) -> Verdict:
-    """Growth verdict from (eps, value) partial integrals, eps decreasing.
-
-    Convergent when the last three increments each shrink by factor <= 0.9,
-    divergent when each grows by factor >= 1.1, inconclusive otherwise.
-    """
-    if len(partials) < 6:
-        raise InsufficientData(f"classifier needs >= 6 partials, got {len(partials)}")
-    values = [v for _, v in partials]
-    if log_domain:
-        log_inc = [values[0]]
-        for prev, cur in zip(values[:-1], values[1:]):
-            if cur < prev:
-                raise DomainError("log-partials must be nondecreasing")
-            gap = prev - cur  # <= 0
-            log_inc.append(-math.inf if gap == 0.0 else cur + math.log1p(-math.exp(gap)))
-    else:
-        inc = [values[0]] + list(np.diff(values))
-        if any(v < 0.0 for v in inc):
-            raise DomainError("partials must be nondecreasing")
-        log_inc = [math.log(v) if v > 0.0 else -math.inf for v in inc]
-    return _verdict_from_ratios(_increment_ratios(log_inc), len(partials))
 
 
 def _chain_log_field(chain: MapChain):

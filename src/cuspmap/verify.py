@@ -22,6 +22,7 @@ import numpy as np
 from .capacity import (
     GridSolverConfig,
     annulus_condenser,
+    experiment_table,
     grid_capacity,
     superpolynomial_decay_check,
     tip_capacity_experiment,
@@ -307,13 +308,7 @@ def criterion_8(out_dir=None, cg: float = 16.0) -> CriterionResult:
         decay_ok = decay_ok and all(b < a for a, b in zip(seq[:-1], seq[1:])) and seq[-1] <= 0.1 * seq[0]
     passed = monotone and decay_ok
     elapsed = time.perf_counter() - t0
-    _write(out_dir, "tip_experiment.csv", csv_text(
-        ["t", "capacity", "capacity_over_t", "capacity_over_t2",
-         "diam_image_arc", "diam_preimage", "log_diam_preimage",
-         "lower_bound_ref", "log_diam_bound"],
-        [(r.t, r.capacity, r.capacity_over_t, r.capacity_over_t2, r.diam_image_arc,
-          r.diam_preimage, r.log_diam_preimage, r.lower_bound_ref, r.log_diam_bound)
-         for r in rows]))
+    _write(out_dir, "tip_experiment.csv", csv_text(*experiment_table(rows)))
     return _result(8, passed, elapsed,
                    {"monotone": monotone, "decay_ok": decay_ok, "capacities": caps})
 

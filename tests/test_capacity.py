@@ -7,46 +7,33 @@ import pytest
 
 from cuspmap import (
     ConvergenceError,
-    CuspTestFunction,
     DomainError,
-    ExpCuspDomain,
     GridSolverConfig,
     MapChain,
     MaskError,
-    PlanePoint,
     annulus_condenser,
     capacity_lower_bound,
     cusp_test_energy,
     grid_capacity,
-    preimage_diameter_bound,
     superpolynomial_decay_check,
     tip_capacity_experiment,
 )
 from cuspmap import capacity as capacity_module
-from cuspmap.capacity import Grid2D, preimage_diameter_bound_log
-
-EXP = ExpCuspDomain()
+from cuspmap.capacity import Grid2D, _log_width_integral, preimage_diameter_bound_log
 
 # mpmath oracles (50 digits): 1 / int_r^{d/2} e^{1/t} dt
 ORACLE_ENERGY_02_1 = 0.1081907163546861654076
 ORACLE_ENERGY_01_08 = 0.003479693553795913567832
 
 
-def test_test_function_plateau_and_support():
-    fn = CuspTestFunction(r=0.2, d=1.0)
-    assert fn.value(PlanePoint(0.1, 0.0), EXP) == 1.0
-    assert fn.value(PlanePoint(0.2, 0.0), EXP) == 1.0
-    assert fn.value(PlanePoint(0.9, 0.0), EXP) == 0.0  # x1 = d taken inside the far disk
-    with pytest.raises(DomainError):
-        fn.value(PlanePoint(-0.5, 0.0), EXP)
-    with pytest.raises(DomainError):
-        CuspTestFunction(r=0.3, d=0.5)
+def ramp(x1, r, d):
+    """The test function of cusp_test_energy inside its ramp r < x1 < d/2."""
+    return 1.0 - math.exp(_log_width_integral(r, x1) - _log_width_integral(r, d / 2.0))
 
 
 def test_test_function_strictly_decreasing_in_the_ramp():
-    fn = CuspTestFunction(r=0.2, d=1.0)
     xs = np.linspace(0.21, 0.49, 12)
-    vals = [fn.value(PlanePoint(float(x), 0.0), EXP) for x in xs]
+    vals = [ramp(float(x), 0.2, 1.0) for x in xs]
     assert all(1.0 > a > b > 0.0 for a, b in zip(vals[:-1], vals[1:]))
 
 
@@ -236,10 +223,9 @@ def test_tip_experiment_reuses_the_capacity_of_an_unchanged_mask(monkeypatch):
 def test_discrete_energy_of_sampled_test_function():
     # graded 1D grid uniform in 1/x1 resolves the throat; the discrete energy
     # of the sampled ramp approaches 2 / int e^{1/t} (both strip halves)
-    fn = CuspTestFunction(r=0.2, d=1.0)
     s = np.linspace(2.0, 5.0, 1025)  # s = 1/x1 over [d/2, r] reversed
     x1 = 1.0 / s[::-1]
-    u = np.array([fn.value(PlanePoint(float(a), 0.0), EXP) for a in x1])
+    u = np.array([1.0] + [ramp(float(a), 0.2, 1.0) for a in x1[1:-1]] + [0.0])
     mids = 0.5 * (x1[:-1] + x1[1:])
     widths = 2.0 * np.exp(-1.0 / mids)
     dx = np.diff(x1)
@@ -249,35 +235,38 @@ def test_discrete_energy_of_sampled_test_function():
 
 
 def test_capacity_lower_bound_formula():
-    assert capacity_lower_bound(1.0, math.pi / 4.0, math.exp(-1.0)) == pytest.approx(1.0, rel=1e-14)
-    assert capacity_lower_bound(1.0, math.pi / 4.0, math.exp(-1.0), C=2.0) == pytest.approx(
+    # the bound takes log diam E
+    assert capacity_lower_bound(1.0, math.pi / 4.0, -1.0) == pytest.approx(1.0, rel=1e-14)
+    assert capacity_lower_bound(1.0, math.pi / 4.0, -1.0, C=2.0) == pytest.approx(
         2.0, rel=1e-14)
-    small = capacity_lower_bound(1.0, math.pi / 4.0, 1e-9)
-    tiny = capacity_lower_bound(1.0, math.pi / 4.0, 1e-18)
+    small = capacity_lower_bound(1.0, math.pi / 4.0, math.log(1e-9))
+    tiny = capacity_lower_bound(1.0, math.pi / 4.0, math.log(1e-18))
     assert tiny < small < 1.0
+    # far past the underflow of diam E itself
+    assert capacity_lower_bound(1.0, math.pi / 4.0, -1e6) == pytest.approx(1e-12, rel=1e-14)
     with pytest.raises(DomainError):
-        capacity_lower_bound(1.0, math.pi / 4.0, 2.0)  # log argument <= 1
+        capacity_lower_bound(1.0, math.pi / 4.0, math.log(2.0))  # log argument <= 1
 
 
 def test_capacity_lower_bound_independent_reimplementation():
     for lam, mass, diam, c in ((0.7, 2.0, 0.01, 1.3), (2.0, 9.0, 0.3, 0.5)):
         independent = c * lam / math.log(math.sqrt(4.0 * mass / math.pi) / diam) ** 2
-        assert capacity_lower_bound(lam, mass, diam, c) == pytest.approx(independent, rel=1e-15)
+        assert capacity_lower_bound(lam, mass, math.log(diam), c) == pytest.approx(
+            independent, rel=1e-15)
 
 
 def test_preimage_diameter_bound_formula():
     # exponent forced to -1: bound = C / e
-    assert preimage_diameter_bound(math.sqrt(2.0), 1.0, 1.0, C=1.0, Ctilde=2.0) == pytest.approx(
-        math.exp(-1.0), rel=1e-14)
-    assert preimage_diameter_bound(0.2, 1.0, 1.0) > preimage_diameter_bound(0.1, 1.0, 1.0)
-    assert preimage_diameter_bound(0.1, 1.0, 1.0) == pytest.approx(math.exp(-100.0), rel=1e-12)
+    assert preimage_diameter_bound_log(math.sqrt(2.0), 1.0, 1.0, C=1.0, Ctilde=2.0) == (
+        pytest.approx(-1.0, rel=1e-14))
+    assert preimage_diameter_bound_log(0.2, 1.0, 1.0) > preimage_diameter_bound_log(0.1, 1.0, 1.0)
     assert preimage_diameter_bound_log(0.1, 1.0, 1.0) == pytest.approx(-100.0, rel=1e-14)
-    # deep underflow: the double value is 0 but the log stays exact
-    assert preimage_diameter_bound(0.01, 1.0, 1.0) == 0.0
+    # deep underflow: the bound itself is below the subnormals, its log stays exact
     assert preimage_diameter_bound_log(0.01, 1.0, 1.0) == pytest.approx(-1e4, rel=1e-14)
     for lam, eps, c, ct, d in ((0.5, 2.0, 1.1, 0.9, 0.35),):
         independent = c * math.exp(-ct / d ** ((1.0 + eps) / lam))
-        assert preimage_diameter_bound(d, lam, eps, c, ct) == pytest.approx(independent, rel=1e-15)
+        assert preimage_diameter_bound_log(d, lam, eps, c, ct) == pytest.approx(
+            math.log(independent), rel=1e-15)
 
 
 def test_tip_capacity_experiment_small():
@@ -293,6 +282,19 @@ def test_tip_capacity_experiment_small():
     again = tip_capacity_experiment([0.25, 0.125, 0.0625], chain,
                                     GridSolverConfig(resolution=48), arc_samples=24)
     assert [r.capacity for r in again] == caps
+
+
+def test_tip_lower_bound_follows_the_preimage_log_diameter():
+    # the reference bound lam (0.5 log(4 L / pi) - log diam)^-2 with lam = 1 and
+    # L = e pi, taken from the exact log-diameter after the double one underflows
+    rows = tip_capacity_experiment([0.125, 0.0625], MapChain.default(),
+                                   GridSolverConfig(resolution=16), arc_samples=24)
+    mass = math.e * math.pi
+    for r in rows:
+        assert r.diam_preimage == 0.0
+        want = (0.5 * math.log(4.0 * mass / math.pi) - r.log_diam_preimage) ** -2.0
+        assert r.lower_bound_ref == pytest.approx(want, rel=1e-15)
+    assert rows[0].lower_bound_ref > rows[1].lower_bound_ref > 0.0
 
 
 def test_grid2d_geometry():

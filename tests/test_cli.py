@@ -133,7 +133,10 @@ def test_capacity_theorem1_monotone_column(capsys):
     code, out = run(["capacity", "theorem1", "--t", "0.25,0.125,0.0625",
                      "--resolution", "48", "--arc-samples", "16"], capsys)
     assert code == 0
-    _, rows = rows_of(out)
+    header, rows = rows_of(out)
+    # the column table criterion 8's tip_experiment.csv shares
+    assert header == ["t", "capacity", "capacity_over_t", "capacity_over_t2", "diam_image_arc",
+                      "diam_preimage", "log_diam_preimage", "lower_bound_ref", "log_diam_bound"]
     caps = [float(r["capacity"]) for r in rows]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(caps[:-1], caps[1:]))
 

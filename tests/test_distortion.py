@@ -13,8 +13,6 @@ from cuspmap import (
     PolarPoint,
     ProfileParams,
     SeamError,
-    Sector,
-    chain_distortion,
     chain_distortion_values,
     cusp_jacobian,
     cusp_jacobian_fd,
@@ -25,7 +23,7 @@ from cuspmap import (
     mobius_to_halfplane_inv,
     op_norm,
 )
-from cuspmap.distortion import Jacobian2, distortion_values
+from cuspmap.distortion import Jacobian2, _scaled_entries, distortion_values
 from cuspmap.profile import evaluate
 from cuspmap.verify import halton
 
@@ -44,6 +42,11 @@ ORACLE_RATIO_1E30_PI = 1.939767298912897578916
 
 def matrix(r, theta):
     return cusp_jacobian(PolarPoint.from_angle(r, theta), PARAMS)
+
+
+def chain_k(x: PlanePoint, chain) -> float:
+    """The chain's K at one source point, through the array path."""
+    return float(chain_distortion_values(x.as_complex(), chain))
 
 
 @pytest.mark.parametrize(
@@ -149,6 +152,28 @@ def test_deep_values_against_oracle():
     assert k == pytest.approx(ORACLE_K_2POW64_PI, rel=1e-12)
 
 
+def test_axis_ray_distortion_is_the_diagonal_ratio_at_deep_log_radii():
+    # at theta = 0 the squeeze matrix is diagonal, so K is the ratio of its
+    # diagonal entries; the entries shrink like 1/log r, and squaring them
+    # must not underflow into a wrong K
+    logr = -np.geomspace(1.0, 1e300, 301)
+    zero = np.zeros_like(logr)
+    m11, m21, m22, _ = _scaled_entries(logr, zero, PARAMS.log_cg())
+    assert np.all(m21 == 0.0)
+    ratio = np.maximum(m11 / m22, m22 / m11)
+    assert np.all(np.isfinite(ratio))
+    k = distortion_values(logr, zero, PARAMS)
+    assert np.all(np.abs(k - ratio) <= 1e-12 * ratio)
+    # off the axis: the closed form on entries divided by m11 in the test
+    theta = np.full_like(logr, 0.3)
+    m11, m21, m22, _ = _scaled_entries(logr, theta, PARAMS.log_cg())
+    b, c = m21 / m11, m22 / m11
+    t = 1.0 + b * b + c * c
+    want = (t + np.sqrt(t * t - 4.0 * c * c)) / (2.0 * c)
+    k = distortion_values(logr, theta, PARAMS)
+    assert np.all(np.abs(k - want) <= 1e-12 * want)
+
+
 def test_monotone_blowup_along_outer_ray():
     logr = np.log(np.array([1e-4, 1e-8, 1e-16, 1e-32]))
     ks = distortion_values(logr, np.full(4, math.pi), PARAMS)
@@ -159,31 +184,33 @@ def test_chain_distortion_matches_squeeze():
     chain = MapChain(PARAMS)
     p = PolarPoint.from_angle(0.2, 2.5)
     x = mobius_to_halfplane_inv(PlanePoint(p.r * math.cos(p.theta), p.r * math.sin(p.theta)))
-    k_chain = chain_distortion(x, chain).K
+    k_chain = chain_k(x, chain)
     k_squeeze = distortion(cusp_jacobian(p, PARAMS)).K
     assert k_chain == pytest.approx(k_squeeze, rel=1e-9)
     # without the squeeze the chain is conformal
     only_mobius = MapChain(PARAMS, (MapStage.DISK_TO_HALFPLANE,))
-    assert chain_distortion(x, only_mobius).K == 1.0
+    assert chain_k(x, only_mobius) == 1.0
 
 
 def test_chain_distortion_center():
     # f1(0) = 1: the chain's distortion at the origin is the squeeze's at (1, 0)
     chain = MapChain(PARAMS)
     want = distortion(cusp_jacobian(PolarPoint.from_angle(1.0, 0.0), PARAMS)).K
-    assert chain_distortion(PlanePoint(0.0, 0.0), chain).K == pytest.approx(want, rel=1e-12)
+    assert chain_k(PlanePoint(0.0, 0.0), chain) == pytest.approx(want, rel=1e-12)
 
 
 def test_chain_distortion_blows_up_toward_the_singular_point():
     chain = MapChain(PARAMS)
-    ks = [chain_distortion(PlanePoint(-1.0 + 10.0**-k, 0.0), chain).K for k in (2, 4, 8, 16)]
+    ks = [chain_k(PlanePoint(-1.0 + 10.0**-k, 0.0), chain) for k in (2, 4, 8, 16)]
     assert all(b > a for a, b in zip(ks[:-1], ks[1:]))
 
 
 def test_chain_distortion_values_match_the_scalar_composition():
     # reference: f1 as a Python complex division, polar coordinates by
     # math.atan2, the displayed matrix and the 2x2 closed forms on doubles;
-    # beyond r = 1 the extension's diagonal differential diag(G(1), G(1) tang)
+    # beyond r = 1 the extension's diagonal differential diag(G(1), G(1) tang).
+    # K comes from chain_distortion_values, op_norm and jac_det (and K again)
+    # from distortion_table at the squeeze's polar point inside the unit disk
     chain = MapChain(PARAMS)
     pts = halton(4000, skip=3)
     rad = 0.999 * np.sqrt(pts[:, 0])
@@ -192,20 +219,23 @@ def test_chain_distortion_values_match_the_scalar_composition():
     k_values = chain_distortion_values(z, chain)
     worst = {"K": 0.0, "op_norm": 0.0, "jac_det": 0.0}
     for zi, ki in zip(z, k_values):
-        x = PlanePoint(zi.real, zi.imag)
-        p = PolarPoint.from_plane(mobius_to_halfplane(x))
+        w = mobius_to_halfplane(PlanePoint(zi.real, zi.imag))
+        p = PolarPoint.from_angle(w.norm(), math.atan2(w.x2, w.x1))
         if p.r <= 1.0:
             ref = distortion(cusp_jacobian(p, PARAMS))
+            op, det, k = distortion_table(math.log(p.r), p.theta, PARAMS)
+            assert float(k) == pytest.approx(ki, rel=1e-14)
+            got = {"op_norm": float(op), "jac_det": float(det)}
         else:
             tang = (2.0 / math.pi) * one.half_angle
-            tang = tang if p.sector is Sector.INNER else 2.0 - tang
+            tang = tang if abs(p.theta) < math.pi / 2 else 2.0 - tang
             g1 = one.image_radius
             ref = distortion(Jacobian2(g1, 0.0, 0.0, g1 * tang, p))
-        got = chain_distortion(x, chain)
-        assert got.K == ki
-        for name in worst:
+            got = {}
+        got["K"] = float(ki)
+        for name, value in got.items():
             want = getattr(ref, name)
-            worst[name] = max(worst[name], abs(getattr(got, name) - want) / want)
+            worst[name] = max(worst[name], abs(value - want) / want)
     assert max(worst.values()) <= 1e-12
 
 
@@ -214,8 +244,8 @@ def test_chain_distortion_extension_constants():
     chain = MapChain(PARAMS)
     inner_pt = mobius_to_halfplane_inv(PlanePoint(5.0, 0.0))     # maps to r = 5, theta = 0
     outer_pt = mobius_to_halfplane_inv(PlanePoint(-5.0, 0.1))    # r > 1, outer sector
-    assert chain_distortion(inner_pt, chain).K == pytest.approx(4.456781169540907827252, rel=1e-12)
-    assert chain_distortion(outer_pt, chain).K == pytest.approx(1.775622817912998450395, rel=1e-12)
+    assert chain_k(inner_pt, chain) == pytest.approx(4.456781169540907827252, rel=1e-12)
+    assert chain_k(outer_pt, chain) == pytest.approx(1.775622817912998450395, rel=1e-12)
 
 
 def test_envelope_outer_ray():

@@ -1,4 +1,4 @@
-"""Cusp domains: membership, boundary arcs, diameters, preimage collapse."""
+"""Image-boundary arcs near the tip, arc diameters, preimage collapse."""
 
 import math
 
@@ -6,76 +6,44 @@ import pytest
 
 from cuspmap import (
     DomainError,
-    ExpCuspDomain,
     MapChain,
     PlanePoint,
-    PowerCuspDomain,
     arc_diameter,
-    boundary_arc,
+    mobius_to_disk,
+    mobius_to_disk_inv,
     preimage_arc,
 )
-from cuspmap.domains import _x1_max_for
+from cuspmap.domains import _image_arc_x1_max
 
-EXP = ExpCuspDomain()
 CHAIN = MapChain.default()
 
 
-def test_exp_membership_examples():
-    assert EXP.contains(PlanePoint(0.5, 0.0))
-    # on the strip boundary, and the disk is too far: outside
-    assert not EXP.contains(PlanePoint(0.5, math.exp(-2.0)))
-    assert EXP.contains(PlanePoint(3.0, 0.0))  # distance 1 < r0
-    assert not EXP.contains(PlanePoint(-0.1, 0.0))
-    assert not EXP.contains(PlanePoint.infinity())
-
-
-def test_exp_membership_deep_throat():
-    # widths underflow but log-space comparison keeps the axis inside
-    assert EXP.contains(PlanePoint(1e-6, 0.0))
-    assert EXP.contains(PlanePoint(1e-300, 0.0))
-    assert not EXP.contains(PlanePoint(1e-6, 1e-300))  # far wider than e^{-1e6}
-    x1 = 0.01
-    w = math.exp(-1.0 / x1)
-    assert EXP.contains(PlanePoint(x1, w * (1.0 - 1e-9)))
-    assert not EXP.contains(PlanePoint(x1, w))
-
-
-def test_disk_radius_invariant():
-    with pytest.raises(DomainError):
-        ExpCuspDomain(r0=1.1)
-
-
-def test_power_membership_examples():
-    d = PowerCuspDomain(s=1.0)
-    assert d.contains(PlanePoint(0.5, 0.0))
-    assert not d.contains(PlanePoint(0.5, 0.25))  # |x2| = x1^2 exactly: excluded
-    assert d.contains(PlanePoint(4.0, 0.0))  # |4 - 3| = 1 < sqrt(5)
-    with pytest.raises(DomainError):
-        PowerCuspDomain(s=0.0)
+def image_arc(t, n):
+    """The image-boundary samples {|w| <= t} of the pulled-back arc."""
+    return preimage_arc(t, CHAIN, n).image_samples
 
 
 def test_x1_max_solves_the_cutoff_equation():
     for t in (0.05, 0.1, 0.3):
-        x = _x1_max_for(t)
-        assert x * x + math.exp(-2.0 / x) == pytest.approx(t * t, rel=1e-12)
-    # relative gap to t is controlled by the exponentially small width term
-    t = 0.1
-    assert (t - _x1_max_for(t)) / t <= math.exp(-2.0 / t) / t**2
+        x = _image_arc_x1_max(t, CHAIN.params)
+        w = mobius_to_disk(PlanePoint(x, math.exp(-1.0 / x)))
+        assert w.norm() == pytest.approx(t, rel=1e-12)
+        # without the width term the cutoff is x1 = t / (1 - t); the relative
+        # gap is controlled by the exponentially small width
+        assert 0.0 <= (t / (1.0 - t) - x) / x <= math.exp(-2.0 / x) / x**2
 
 
 def test_boundary_arc_construction():
-    arc = boundary_arc(0.1, 64, EXP)
+    arc = image_arc(0.1, 64)
     assert len(arc) == 128
-    x1s = [p.x1 for p in arc.samples[:64]]
+    x1s = [p.x1 for p in arc[:64]]
     assert all(b > a for a, b in zip(x1s[:-1], x1s[1:]))
-    for p in arc.samples:
-        assert math.hypot(p.x1, p.x2) <= 0.1 * (1.0 + 1e-15)
-        if p.x2 != 0.0:
-            assert math.log(abs(p.x2)) == pytest.approx(-1.0 / p.x1, rel=1e-12)
+    for p in arc:
+        assert p.norm() <= 0.1 * (1.0 + 1e-15)
     with pytest.raises(DomainError):
-        boundary_arc(0.6, 16, EXP)
+        preimage_arc(0.6, CHAIN, 16)
     with pytest.raises(DomainError):
-        boundary_arc(0.1, 1, EXP)
+        preimage_arc(0.1, CHAIN, 1)
 
 
 def test_arc_diameter_two_points():
@@ -105,32 +73,38 @@ def _hull_diameter(points):
 
 
 def test_arc_diameter_matches_hull_oracle():
-    arc = boundary_arc(0.1, 48, EXP)
-    assert arc_diameter(arc) == pytest.approx(_hull_diameter(arc.samples), rel=1e-12)
+    arc = image_arc(0.1, 48)
+    assert arc_diameter(arc) == pytest.approx(_hull_diameter(arc), rel=1e-12)
     # realized between the near-tip sample and a branch endpoint
-    assert arc_diameter(arc) == pytest.approx(_x1_max_for(0.1), rel=1e-6)
+    assert arc_diameter(arc) == pytest.approx(max(p.norm() for p in arc), rel=1e-6)
 
 
 def test_arc_diameter_monotone_in_t():
-    diams = [arc_diameter(boundary_arc(t, 32, EXP)) for t in (0.02, 0.05, 0.1)]
+    diams = [arc_diameter(image_arc(t, 32)) for t in (0.02, 0.05, 0.1)]
     assert diams[0] <= diams[1] <= diams[2]
 
 
 def test_arc_diameter_approaches_t():
     for k in range(10, 21):
         t = 2.0**-k
-        ratio = arc_diameter(boundary_arc(t, 32, EXP)) / t
-        assert 1.0 - 1e-6 <= ratio <= 1.0 + 1e-12  # upper slack: one rounding ulp
+        ratio = arc_diameter(image_arc(t, 32)) / t
+        assert 1.0 - 1e-6 <= ratio <= 1.0 + 1e-12  # upper slack: a few rounding ulps
+
 
 
 def test_membership_consistency_with_arc():
-    # clamped samples (width underflowed to 0) are axis points at double
-    # precision and only meaningful for distances; skip them here
-    arc = boundary_arc(0.1, 16, EXP)
-    for p in arc.samples:
-        if p.x2 != 0.0:
-            assert not EXP.contains(p)
-            assert EXP.contains(PlanePoint(p.x1, p.x2 * (1.0 - 1e-9)))
+    # each sample is the final-stage image of a point (x1, +-e^{-1/x1}) on the
+    # boundary of the strip {|x2| < e^{-1/x1}}, compared in log space; samples
+    # whose width underflowed to 0 are axis points at double precision and only
+    # meaningful for distances, so they are skipped here
+    checked = 0
+    for p in image_arc(0.1, 64):
+        z = mobius_to_disk_inv(p)
+        if z.x2 != 0.0:
+            assert math.log(abs(z.x2)) == pytest.approx(-1.0 / z.x1, rel=1e-9)
+            assert math.log(abs(z.x2) * (1.0 - 1e-6)) < -1.0 / z.x1
+            checked += 1
+    assert checked >= 8
 
 
 def test_preimage_arc_basics():

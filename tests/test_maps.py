@@ -13,12 +13,9 @@ from cuspmap import (
     PolarPoint,
     ProfileParams,
     RangeError,
-    Sector,
-    apply_chain,
-    apply_chain_inv,
     boundary_image_trace,
-    cusp_map,
-    cusp_map_inv,
+    chain_inverse_values,
+    chain_values,
     mobius_to_disk,
     mobius_to_disk_inv,
     mobius_to_halfplane,
@@ -30,10 +27,23 @@ from cuspmap.verify import halton
 
 PARAMS = ProfileParams()
 CHAIN = MapChain(PARAMS)
+SQUEEZE = MapChain(PARAMS, (MapStage.CUSP,))
 
 
 def pt(z: complex) -> PlanePoint:
     return PlanePoint.from_complex(z)
+
+
+def squeeze(r: float, theta: float) -> complex:
+    """The squeeze stage at the polar point (r, theta), through the array path."""
+    return complex(chain_values(r * complex(math.cos(theta), math.sin(theta)), SQUEEZE))
+
+
+def squeeze_inv(w: complex):
+    """(r, normalized theta) of the inverse squeeze at w, through the array path."""
+    z = complex(chain_inverse_values(w, SQUEEZE))
+    p = PolarPoint.from_angle(abs(z), math.atan2(z.imag, z.real))
+    return p.r, p.theta
 
 
 def test_mobius_to_halfplane_special_values():
@@ -71,27 +81,32 @@ def test_mobius_to_disk_round_trip():
 
 
 def test_polar_normalization_and_sectors():
-    assert PolarPoint.from_angle(1.0, 0.3).sector is Sector.INNER
-    assert PolarPoint.from_angle(1.0, math.pi / 2).sector is Sector.OUTER
-    assert PolarPoint.from_angle(1.0, -math.pi / 2).sector is Sector.OUTER
+    # angles land in [-pi/2, 3pi/2): the inner sector is |theta| < pi/2, and
+    # both seams stay on the outer sector's closed interval [pi/2, 3pi/2]
+    inner = PolarPoint.from_angle(1.0, 0.3).theta
+    assert inner == pytest.approx(0.3) and abs(inner) < math.pi / 2
+    for seam in (math.pi / 2, -math.pi / 2):
+        theta = PolarPoint.from_angle(1.0, seam).theta
+        assert theta == pytest.approx(seam) and not abs(theta) < math.pi / 2
     assert PolarPoint.from_angle(1.0, 3 * math.pi / 2).theta == pytest.approx(-math.pi / 2)
     assert PolarPoint.from_angle(1.0, 2 * math.pi).theta == pytest.approx(0.0)
+    assert PolarPoint.from_angle(1.0, -2.0).theta == pytest.approx(2 * math.pi - 2.0)
     with pytest.raises(DomainError):
-        PolarPoint(1.0, 0.0, Sector.OUTER)
+        PolarPoint(1.0, 3 * math.pi / 2)
     with pytest.raises(DomainError):
-        PolarPoint(-1.0, 0.0, Sector.INNER)
+        PolarPoint(-1.0, 0.0)
 
 
 def test_cusp_map_axis_ray():
     # theta = 0 maps onto the positive axis at the image radius
     for r in (1e-8, 0.2, 1.0):
-        w = cusp_map(PolarPoint.from_angle(r, 0.0), PARAMS)
-        assert w.x2 == 0.0
-        assert w.x1 == pytest.approx(evaluate(r, PARAMS).image_radius, rel=1e-15)
+        w = squeeze(r, 0.0)
+        assert w.imag == 0.0
+        assert w.real == pytest.approx(evaluate(r, PARAMS).image_radius, rel=1e-15)
 
 
 def test_cusp_map_fixes_origin():
-    assert cusp_map(PolarPoint.from_angle(0.0, 0.0), PARAMS) == PlanePoint(0.0, 0.0)
+    assert squeeze(0.0, 0.0) == 0.0
 
 
 def test_seam_continuity_of_angle_formulas():
@@ -108,18 +123,17 @@ def test_seam_continuity_of_angle_formulas():
 def test_seam_image_lies_on_cusp_curve():
     # the seam ray lands on (depth, e^{-1/depth}): the image-domain boundary
     for r in np.geomspace(1e-3, 1.0, 50):
-        w = cusp_map(PolarPoint.from_angle(float(r), math.pi / 2), PARAMS)
+        w = squeeze(float(r), math.pi / 2)
         g = evaluate(float(r), PARAMS).depth
-        assert w.x1 == pytest.approx(g, rel=1e-12)
-        assert w.x2 == pytest.approx(math.exp(-1.0 / g), rel=1e-12)
+        assert w.real == pytest.approx(g, rel=1e-12)
+        assert w.imag == pytest.approx(math.exp(-1.0 / g), rel=1e-12)
 
 
 def test_radial_extension_isometry():
     one = evaluate(1.0, PARAMS).image_radius
     for r in (1.0 + 1e-12, 2.0, 17.5, 1e4):
         for theta in (0.0, 1.0, math.pi, -1.2):
-            w = cusp_map(PolarPoint.from_angle(r, theta), PARAMS)
-            assert w.norm() == pytest.approx(r * one, rel=1e-14)
+            assert abs(squeeze(r, theta)) == pytest.approx(r * one, rel=1e-14)
 
 
 def test_squeeze_injectivity_on_polar_grid():
@@ -138,55 +152,58 @@ def test_squeeze_injectivity_on_polar_grid():
         )
         images[i] = e.image_radius * np.exp(1j * phi)
     assert len(np.unique(images.ravel())) == 512 * 512
+    # the chain's squeeze stage gives the same images, pairwise distinct too
+    z = rs[:, None] * np.exp(1j * thetas[None, :])
+    w = chain_values(z, SQUEEZE)
+    assert np.max(np.abs(w - images) / np.abs(images)) <= 1e-13
+    assert len(np.unique(w.ravel())) == 512 * 512
 
 
 def test_cusp_map_inverse_round_trip():
-    p = PolarPoint.from_angle(0.3, 1.0)
-    w = cusp_map(p, PARAMS)
-    q = cusp_map_inv(w, PARAMS)
-    assert q.r == pytest.approx(0.3, abs=1e-10)
-    assert q.theta == pytest.approx(1.0, abs=1e-10)
-    assert q.sector is Sector.INNER
+    r, theta = squeeze_inv(squeeze(0.3, 1.0))
+    assert r == pytest.approx(0.3, abs=1e-10)
+    assert theta == pytest.approx(1.0, abs=1e-10)
+    assert abs(theta) < math.pi / 2  # inner sector
 
 
 def test_cusp_map_inverse_seam_convention():
-    # an image angle exactly at the opening goes to the outer seam
-    r = 0.4
-    e = evaluate(r, PARAMS)
-    w = PlanePoint(
-        e.image_radius * math.cos(e.half_angle), e.image_radius * math.sin(e.half_angle)
-    )
-    q = cusp_map_inv(w, PARAMS)
-    assert q.sector is Sector.OUTER
-    assert q.theta == pytest.approx(math.pi / 2, abs=1e-9)
+    # an image angle exactly at the opening goes to the outer seam theta = pi/2
+    e = evaluate(0.4, PARAMS)
+    r, theta = squeeze_inv(e.image_radius * complex(math.cos(e.half_angle),
+                                                    math.sin(e.half_angle)))
+    assert r == pytest.approx(0.4, rel=1e-12)
+    assert theta == pytest.approx(math.pi / 2, abs=1e-9)
+    # the seam angle itself round-trips, and the wrapped seam lands on -pi/2
+    assert squeeze_inv(squeeze(0.4, math.pi / 2))[1] == pytest.approx(math.pi / 2, abs=1e-12)
+    assert squeeze_inv(squeeze(0.4, -math.pi / 2))[1] == pytest.approx(-math.pi / 2, abs=1e-12)
 
 
 def test_cusp_map_inverse_axis_point():
     g05 = evaluate(0.5, PARAMS).image_radius
-    q = cusp_map_inv(PlanePoint(g05, 0.0), PARAMS)
-    assert q.r == pytest.approx(0.5, abs=1e-12)
-    assert q.theta == pytest.approx(0.0, abs=1e-12)
+    r, theta = squeeze_inv(complex(g05, 0.0))
+    assert r == pytest.approx(0.5, abs=1e-12)
+    assert theta == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cusp_map_inverse_extension_region():
     one = evaluate(1.0, PARAMS).image_radius
-    w = PlanePoint(0.0, 3.0 * one)
-    q = cusp_map_inv(w, PARAMS)
-    assert q.r == pytest.approx(3.0, rel=1e-14)
-    back = cusp_map(q, PARAMS)
-    assert math.hypot(back.x1 - w.x1, back.x2 - w.x2) <= 1e-12 * w.norm()
+    w = complex(0.0, 3.0 * one)
+    r, theta = squeeze_inv(w)
+    assert r == pytest.approx(3.0, rel=1e-14)
+    assert abs(squeeze(r, theta) - w) <= 1e-12 * abs(w)
 
 
 def test_cusp_map_inverse_range_errors():
-    with pytest.raises(RangeError):
-        cusp_map_inv(PlanePoint(0.0, 0.0), PARAMS)
+    # the array path fixes 0 and infinity instead of refusing them
+    assert complex(chain_inverse_values(0.0, SQUEEZE)) == 0.0
+    assert not np.isfinite(chain_inverse_values(complex(math.inf, math.inf), SQUEEZE))
     with pytest.raises(RangeError):
         # below the double-precision radius floor of the image
-        cusp_map_inv(PlanePoint(0.05, 0.0), PARAMS)
+        chain_inverse_values(0.05, SQUEEZE)
     # far out on the radial extension there is no cap: 1e9 round-trips
-    q = cusp_map_inv(PlanePoint(1e9, 0.0), PARAMS)
-    back = cusp_map(q, PARAMS)
-    assert math.hypot(back.x1 - 1e9, back.x2) <= 1e-12 * 1e9
+    back = complex(chain_values(chain_inverse_values(1e9, SQUEEZE), SQUEEZE))
+    assert abs(back - 1e9) <= 1e-12 * 1e9
+
 
 
 def test_chain_order_validation():
@@ -201,37 +218,33 @@ def test_chain_order_validation():
 
 
 def test_chain_boundary_point_to_origin():
-    w = apply_chain(PlanePoint(-1.0, 0.0), CHAIN)
-    assert (w.x1, w.x2) == (0.0, 0.0)
+    assert complex(chain_values(-1.0, CHAIN)) == 0.0
 
 
 def test_chain_center_value():
     # f3(squeeze(f1(0))) = G(1) / (1 + G(1)) on the positive axis
-    w = apply_chain(PlanePoint(0.0, 0.0), CHAIN)
-    assert w.x1 == pytest.approx(0.5109614083857005212757138, rel=1e-14)
-    assert w.x2 == 0.0
+    w = complex(chain_values(0.0, CHAIN))
+    assert w.real == pytest.approx(0.5109614083857005212757138, rel=1e-14)
+    assert w.imag == 0.0
 
 
 def test_chain_round_trip_quasirandom():
     pts = halton(1000, skip=5)
     rad = 0.99 * np.sqrt(pts[:, 0])
     ang = 2.0 * math.pi * pts[:, 1]
-    worst = 0.0
-    for r, t in zip(rad, ang):
-        x = PlanePoint(float(r * math.cos(t)), float(r * math.sin(t)))
-        y = apply_chain_inv(apply_chain(x, CHAIN), CHAIN)
-        worst = max(worst, math.hypot(y.x1 - x.x1, y.x2 - x.x2))
-    assert worst <= 1e-9
+    x = rad * np.cos(ang) + 1j * (rad * np.sin(ang))
+    y = chain_inverse_values(chain_values(x, CHAIN), CHAIN)
+    assert np.max(np.abs(y - x)) <= 1e-9
 
 
 def test_chain_handles_infinity():
     # f1(inf) = -1, the squeeze sends (1, pi) to (-G(1), 0), then f3 acts
-    w = apply_chain(PlanePoint.infinity(), CHAIN)
+    inf = complex(math.inf, math.inf)
+    w = complex(chain_values(inf, CHAIN))
     g1 = evaluate(1.0, PARAMS).image_radius
-    assert w.as_complex() == pytest.approx(-g1 / (1.0 - g1), rel=1e-13)
+    assert w == pytest.approx(-g1 / (1.0 - g1), rel=1e-13)
     # the squeeze alone fixes infinity
-    only_f2 = MapChain(PARAMS, (MapStage.CUSP,))
-    assert apply_chain(PlanePoint.infinity(), only_f2).at_infinity
+    assert not np.isfinite(chain_values(inf, SQUEEZE))
 
 
 def test_boundary_trace_values():

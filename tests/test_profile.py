@@ -5,12 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from cuspmap import DomainError, ProfileParams, depth, depth_inverse, evaluate
+from cuspmap import DomainError, ProfileParams, depth, evaluate
 from cuspmap.profile import depth_inverse_log
 
-P16 = ProfileParams(cg=16.0, r_max=1.0)
-# wide enough to contain cg * e^-e where the depth equals 1 exactly
-P16W = ProfileParams(cg=16.0, r_max=1.06)
+P16 = ProfileParams(cg=16.0)
+# the depth equals 1 exactly at r = cg * e^-e, which lies in (0, 1] for cg = 8
+P8 = ProfileParams(cg=8.0)
+
+
+def depth_inverse(value, params):
+    """Radius with the given depth; underflows to 0.0 past the subnormals."""
+    return math.exp(depth_inverse_log(value, params))
 
 # mpmath oracle, 50 digits, cg = 16, r = 1e-6
 ORACLE_1E6 = {
@@ -26,14 +31,14 @@ ORACLE_1E6 = {
 
 def test_depth_at_forced_unit_point():
     # loglog(cg/r) = 1 exactly at r = cg * e^-e
-    r = 16.0 * math.exp(-math.e)
-    assert depth(r, P16W) == pytest.approx(1.0, rel=1e-14)
+    r = 8.0 * math.exp(-math.e)
+    assert depth(r, P8) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_small_cusp_constant_rejected_at_unit_radius():
     # the classical constant 2 makes the depth negative at r = 1
     with pytest.raises(DomainError):
-        ProfileParams(cg=2.0, r_max=1.0)
+        ProfileParams(cg=2.0)
 
 
 def test_depth_high_precision_value():
@@ -57,8 +62,8 @@ def test_image_radius_rate_identity():
 
 
 def test_unit_depth_point_fields():
-    r = 16.0 * math.exp(-math.e)
-    e = evaluate(r, P16W)
+    r = 8.0 * math.exp(-math.e)
+    e = evaluate(r, P8)
     assert e.depth == pytest.approx(1.0, rel=1e-13)
     assert e.aspect == pytest.approx(math.exp(-1.0), rel=1e-13)
     assert e.half_angle == pytest.approx(math.atan(math.exp(-1.0)), rel=1e-13)
@@ -103,7 +108,7 @@ def test_limits_toward_the_tip():
 
 
 def test_depth_inverse_unit_value():
-    assert depth_inverse(1.0, P16W) == pytest.approx(16.0 * math.exp(-math.e), rel=1e-14)
+    assert depth_inverse(1.0, P8) == pytest.approx(8.0 * math.exp(-math.e), rel=1e-14)
 
 
 def test_depth_inverse_half():
@@ -133,6 +138,6 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         evaluate(2.0, P16)
     with pytest.raises(DomainError):
-        depth_inverse(0.0, P16)
+        depth_inverse_log(0.0, P16)
     with pytest.raises(DomainError):
-        depth_inverse(depth(1.0, P16) * 1.01, P16)
+        depth_inverse_log(depth(1.0, P16) * 1.01, P16)

@@ -14,11 +14,10 @@ from cuspmap import (
     NodeError,
     ProfileParams,
     Verdict,
-    classify,
     distortion_exp_integral,
     distortion_power_integral,
 )
-from cuspmap.quadrature import _integral_report, _log_annulus_contribs, _logsumexp
+from cuspmap.quadrature import _integral_report, _log_annulus_contribs, _logsumexp, _report
 
 CHAIN = MapChain.default()
 CONFORMAL = MapChain(ProfileParams(), (MapStage.DISK_TO_HALFPLANE,))
@@ -32,6 +31,13 @@ def annulus_integral(log_field, r_in, r_out, radial_nodes, angular_nodes):
         np.polynomial.legendre.leggauss(angular_nodes), log_field,
     )
     return math.exp(_logsumexp(contribs))
+
+
+def classify(increments):
+    """Verdict of the report built from linear increments of partial integrals."""
+    log_inc = [math.log(v) if v > 0.0 else -math.inf for v in increments]
+    scheme = AnnularScheme.dyadic(len(increments))
+    return _report("test", 1.0, scheme, log_inc).verdict
 
 
 def zero(u, t):
@@ -83,23 +89,29 @@ def test_scheme_validation():
 
 
 def test_classify_examples():
-    partials = [(2.0**-k, v) for k, v in enumerate(
-        np.cumsum([1.0, 0.1, 0.01, 0.001, 1e-4, 1e-5]), start=1)]
-    assert classify(partials) is Verdict.CONVERGENT
-    partials = [(2.0**-k, v) for k, v in enumerate(
-        np.cumsum([1.0, 2.0, 4.0, 8.0, 16.0, 32.0]), start=1)]
-    assert classify(partials) is Verdict.DIVERGENT
-    partials = [(2.0**-k, v) for k, v in enumerate(
-        np.cumsum([1.0] * 7), start=1)]
-    assert classify(partials) is Verdict.INCONCLUSIVE
+    # convergent when the last three increments each shrink by factor <= 0.9,
+    # divergent when each grows by factor >= 1.1, inconclusive otherwise
+    assert classify([1.0, 0.1, 0.01, 0.001, 1e-4, 1e-5]) is Verdict.CONVERGENT
+    assert classify([1.0, 2.0, 4.0, 8.0, 16.0, 32.0]) is Verdict.DIVERGENT
+    assert classify([1.0] * 7) is Verdict.INCONCLUSIVE
+    assert classify([1.0, 1.0, 1.0, 1.0, 0.95, 0.9]) is Verdict.INCONCLUSIVE
+    # an increment below one ulp counts as shrinking, a first nonzero one as growing
+    assert classify([1.0, 0.5, 0.25, 0.0, 0.0, 0.0]) is Verdict.CONVERGENT
+    assert classify([0.0, 0.0, 0.0, 1.0, 2.0, 4.0]) is Verdict.DIVERGENT
     with pytest.raises(InsufficientData):
-        classify([(0.5, 1.0), (0.25, 2.0)])
+        classify([1.0, 1.0])
 
 
 def test_classify_log_domain():
+    # the report accumulates log increments into log partials without overflow
     logs = [float(v) for v in np.log(np.cumsum([1.0, 2.0, 4.0, 8.0, 16.0, 32.0]))]
-    assert classify(list(zip([2.0**-k for k in range(1, 7)], logs)),
-                    log_domain=True) is Verdict.DIVERGENT
+    rep = _report("test", 1.0, AnnularScheme.dyadic(6), [float(v) for v in np.log(
+        [1.0, 2.0, 4.0, 8.0, 16.0, 32.0])])
+    assert rep.verdict is Verdict.DIVERGENT
+    assert rep.log_partials == pytest.approx(logs, rel=1e-15)
+    huge = _report("test", 1.0, AnnularScheme.dyadic(6), [1e3 * k for k in range(1, 7)])
+    assert huge.verdict is Verdict.DIVERGENT
+    assert huge.partials[-1][1] == math.inf and huge.log_partials[-1] == pytest.approx(6e3)
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 4.0, 8.0])
@@ -109,8 +121,8 @@ def test_power_integrals_converge(p):
     assert rep.ratio_stats[-1] <= 0.9
     values = [v for _, v in rep.partials]
     assert all(b >= a for a, b in zip(values[:-1], values[1:]))
-    # the report's verdict agrees with the public classifier on its partials
-    assert classify(rep.partials) is Verdict.CONVERGENT
+    # the verdict agrees with the one of the report's linear partials
+    assert classify(np.diff([0.0] + values)) is Verdict.CONVERGENT
 
 
 def test_exp_integral_divergent_at_unit_lambda():
