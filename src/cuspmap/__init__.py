@@ -38,6 +38,8 @@ from .distortion import (
     chain_distortion_values,
     cusp_jacobian,
     cusp_jacobian_fd,
+    cusp_jacobian_fd_values,
+    cusp_jacobian_values,
     distortion,
     distortion_table,
     distortion_values,

@@ -88,13 +88,12 @@ def _log_width_integral(a: float, b: float) -> float:
     s_lo, s_hi = 1.0 / b, 1.0 / a
     panels = max(8, int(math.ceil((s_hi - s_lo) / 4.0)))
     edges = np.linspace(s_lo, s_hi, panels + 1)
+    lo, hi = edges[:-1], edges[1:]
     xg, wg = np.polynomial.legendre.leggauss(16)
-    logs = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        s = 0.5 * (hi - lo) * (xg + 1.0) + lo
-        lw = math.log(0.5 * (hi - lo))
-        logs.append(s - 2.0 * np.log(s) + np.log(wg) + lw)
-    allv = np.concatenate(logs)
+    s = 0.5 * (hi - lo)[:, None] * (xg + 1.0) + lo[:, None]
+    # math.log, not np.log: the two can differ in the last bit
+    lw = np.array([math.log(v) for v in (0.5 * (hi - lo)).tolist()])
+    allv = (s - 2.0 * np.log(s) + np.log(wg) + lw[:, None]).ravel()
     m = float(np.max(allv))
     return m + math.log(float(np.sum(np.exp(allv - m))))
 
@@ -140,7 +139,7 @@ def superpolynomial_decay_check(s_list, r_list, d: float = 1.0, log_energy_fn=No
 
     A check passes when the tail of the log-ratio sequence decreases
     monotonically and ends below its start. log_energy_fn can substitute a
-    surrogate energy (negative controls).
+    surrogate energy (negative controls); it is called once per cutoff.
     """
     rs = [float(r) for r in r_list]
     if len(rs) < 4 or any(b >= a for a, b in zip(rs[:-1], rs[1:])):
@@ -149,9 +148,10 @@ def superpolynomial_decay_check(s_list, r_list, d: float = 1.0, log_energy_fn=No
         raise DomainError("cutoffs must lie in (0, 1/4)")
     if log_energy_fn is None:
         log_energy_fn = lambda r: cusp_test_energy(r, d).log_value
+    log_energies = [log_energy_fn(r) for r in rs]
     checks = []
     for s in s_list:
-        lr = [log_energy_fn(r) - s * math.log(r) for r in rs]
+        lr = [e - s * math.log(r) for e, r in zip(log_energies, rs)]
         tail = lr[len(lr) // 2 :]
         decreasing = all(b < a for a, b in zip(tail[:-1], tail[1:]))
         checks.append(DecayCheck(s=float(s), log_ratios=tuple(lr),

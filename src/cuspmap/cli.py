@@ -25,9 +25,9 @@ from .capacity import (
     tip_capacity_experiment,
 )
 from .distortion import distortion_table, distortion_values, fit_growth_envelope
-from .errors import ToolkitError
+from .errors import DomainError, ToolkitError
 from .io_formats import csv_text, json_text, write_pgm
-from .maps import MapChain, boundary_image_trace, chain_inverse_values, chain_values
+from .maps import MapChain, MapStage, boundary_image_trace, chain_inverse_values, chain_values
 from .profile import ProfileParams
 from .quadrature import AnnularScheme, distortion_exp_integral, distortion_power_integral
 from .verify import run_suite, select_criteria
@@ -87,10 +87,18 @@ def _parse_floats(text: str):
     return [float(v) for v in text.split(",") if v.strip()]
 
 
+def _chain_stages(text: str) -> tuple:
+    """argparse type: the stages of a comma list of tokens, e.g. f1,f2,f3."""
+    try:
+        return MapChain.from_tokens(text.split(","), ProfileParams()).stages
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+
+
 def _chain_from(args) -> MapChain:
     params = ProfileParams(cg=args.cg)
     if getattr(args, "chain", None):
-        return MapChain.from_tokens(args.chain.split(","), params)
+        return MapChain(params, args.chain)
     return MapChain(params)
 
 
@@ -183,7 +191,8 @@ def _build_parser() -> argparse.ArgumentParser:
     df.add_argument("--r-max", dest="r_hi", type=float, default=1.0)
     df.add_argument("--nr", type=_int_at_least(1), default=64)
     df.add_argument("--ntheta", type=_int_at_least(1), default=64)
-    df.add_argument("--chain", default=None, help="comma list of stages, e.g. f1,f2,f3")
+    df.add_argument("--chain", type=_chain_stages, default=None,
+                    help="comma list of stages, e.g. f1,f2,f3")
     fb = dist_sub.add_parser("fit-bound", parents=[common])
     fb.add_argument("--theta", type=_parse_theta, required=True)
     fb.add_argument("--r-min", dest="r_lo", type=float, default=1e-30)
@@ -202,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--geometric-depth", type=float, default=None,
                        help="deep log-radius scheme: reach 2^-DEPTH geometrically")
     p_int.add_argument("--steps", type=_int_at_least(6), default=48)
-    p_int.add_argument("--chain", default=None)
+    p_int.add_argument("--chain", type=_chain_stages, default=None)
 
     p_cap = sub.add_parser("capacity", help="test functions, grid solves, tip experiment")
     cap_sub = p_cap.add_subparsers(dest="subcommand", required=True)
@@ -371,8 +380,14 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(_fold_config(argv, parser))
-    if args.command == "distortion" and not (0.0 < args.r_lo < args.r_hi < math.inf):
-        parser.error(f"need 0 < --r-min < --r-max < inf, got {args.r_lo} and {args.r_hi}")
+    if args.command == "distortion":
+        if not (0.0 < args.r_lo < args.r_hi < math.inf):
+            parser.error(f"need 0 < --r-min < --r-max < inf, got {args.r_lo} and {args.r_hi}")
+        # fit-bound, and field without --chain, use the squeeze; its closed
+        # form covers r <= 1 only
+        if args.r_hi > 1.0 and MapStage.CUSP in (getattr(args, "chain", None) or (MapStage.CUSP,)):
+            parser.error(f"--r-max {args.r_hi} is above 1; with the squeeze (f2) "
+                         "the distortion needs r <= 1")
 
     dispatch = {
         ("map", "sample"): _cmd_map_sample,

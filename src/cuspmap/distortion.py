@@ -41,6 +41,8 @@ __all__ = [
     "EnvelopeFit",
     "cusp_jacobian",
     "cusp_jacobian_fd",
+    "cusp_jacobian_values",
+    "cusp_jacobian_fd_values",
     "op_norm",
     "distortion",
     "distortion_values",
@@ -160,50 +162,72 @@ def distortion_table(logr, theta, params: ProfileParams):
     return _table(logr, np.asarray(theta, dtype=float), params.log_cg())
 
 
-def cusp_jacobian(p: PolarPoint, params: ProfileParams) -> Jacobian2:
-    """The displayed differential matrix of the squeeze at 0 < r <= 1."""
-    if not (0.0 < p.r <= 1.0):
-        raise DomainError(f"analytic squeeze matrix needs 0 < r <= 1, got {p.r}")
-    m11, m21, m22, _ = _scaled_entries(
-        np.float64(math.log(p.r)), np.float64(p.theta), params.log_cg()
-    )
-    return Jacobian2(float(m11) / p.r, 0.0, float(m21) / p.r, float(m22) / p.r, p)
+# math.log and math.hypot element by element: numpy's own can differ in the
+# last bit, and the Jacobians keep the digits of their point-by-point form
+_log = np.frompyfunc(math.log, 1, 1)
+_hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
-def cusp_jacobian_fd(p: PolarPoint, params: ProfileParams, h: float = 1e-7) -> Jacobian2:
-    """Central finite differences of the raw squeeze, in the same frames.
+def _check_unit_radii(r, what):
+    bad = ~((r > 0.0) & (r <= 1.0))
+    if np.any(bad):
+        raise DomainError(f"{what} needs 0 < r <= 1, got {r[bad].flat[0]}")
+
+
+def cusp_jacobian_values(r, theta, params: ProfileParams):
+    """Entries (a11, a12, a21, a22) of the squeeze's displayed differential
+    at arrays of radii 0 < r <= 1 and normalized angles."""
+    r = np.asarray(r, dtype=float)
+    _check_unit_radii(r, "analytic squeeze matrix")
+    logr = np.asarray(_log(r), dtype=float)
+    m11, m21, m22, _ = _scaled_entries(logr, np.asarray(theta, dtype=float), params.log_cg())
+    return m11 / r, np.zeros(m22.shape), m21 / r, m22 / r
+
+
+def cusp_jacobian_fd_values(r, theta, params: ProfileParams, h: float = 1e-7):
+    """Central finite differences of the raw squeeze, in the same frames, at
+    arrays of radii and normalized angles; entries (a11, a12, a21, a22).
 
     Radial step h*r, angular step h. Entirely independent of the closed-form
     derivatives: only map evaluations and frame rotations. Stencils that would
     straddle a seam or the radii {0, 1} are refused.
     """
-    if not (0.0 < p.r <= 1.0):
-        raise DomainError(f"finite differences need 0 < r <= 1, got {p.r}")
-    hr = h * p.r
+    r, theta = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(theta, dtype=float))
+    _check_unit_radii(r, "finite differences")
+    hr = h * r
     for seam in (-_HALF_PI, _HALF_PI, 3.0 * _HALF_PI):
-        if abs(p.theta - seam) < 2.0 * h:
-            raise SeamError(f"theta {p.theta} within 2h of seam {seam}")
-    if p.r + 2.0 * hr > 1.0 or p.r - 2.0 * hr <= 0.0:
-        raise SeamError(f"radius {p.r} within 2h of the extension boundary")
+        near = np.abs(theta - seam) < 2.0 * h
+        if np.any(near):
+            raise SeamError(f"theta {theta[near][0]} within 2h of seam {seam}")
+    edge = (r + 2.0 * hr > 1.0) | (r - 2.0 * hr <= 0.0)
+    if np.any(edge):
+        raise SeamError(f"radius {r[edge][0]} within 2h of the extension boundary")
 
     # stencil: r + hr, r - hr, theta + h, theta - h, the base point
     rho, phi = _squeeze_polar(
-        np.array([p.r + hr, p.r - hr, p.r, p.r, p.r]),
-        np.array([p.theta, p.theta, p.theta + h, p.theta - h, p.theta]),
+        np.stack([r + hr, r - hr, r, r, r]),
+        np.stack([theta, theta, theta + h, theta - h, theta]),
         params,
     )
     u, v = rho * np.cos(phi), rho * np.sin(phi)
     col_r = ((u[0] - u[1]) / (2.0 * hr), (v[0] - v[1]) / (2.0 * hr))
-    col_t = ((u[2] - u[3]) / (2.0 * h * p.r), (v[2] - v[3]) / (2.0 * h * p.r))
-    rho0 = math.hypot(u[4], v[4])
+    col_t = ((u[2] - u[3]) / (2.0 * h * r), (v[2] - v[3]) / (2.0 * h * r))
+    rho0 = np.asarray(_hypot(u[4], v[4]), dtype=float)
     c, s = u[4] / rho0, v[4] / rho0
-    return Jacobian2(
-        a11=float(c * col_r[0] + s * col_r[1]),
-        a12=float(c * col_t[0] + s * col_t[1]),
-        a21=float(-s * col_r[0] + c * col_r[1]),
-        a22=float(-s * col_t[0] + c * col_t[1]),
-        base=p,
-    )
+    return (c * col_r[0] + s * col_r[1], c * col_t[0] + s * col_t[1],
+            -s * col_r[0] + c * col_r[1], -s * col_t[0] + c * col_t[1])
+
+
+def cusp_jacobian(p: PolarPoint, params: ProfileParams) -> Jacobian2:
+    """The displayed differential matrix of the squeeze at 0 < r <= 1."""
+    entries = cusp_jacobian_values([p.r], [p.theta], params)
+    return Jacobian2(*(float(a[0]) for a in entries), p)
+
+
+def cusp_jacobian_fd(p: PolarPoint, params: ProfileParams, h: float = 1e-7) -> Jacobian2:
+    """cusp_jacobian_fd_values at one point."""
+    entries = cusp_jacobian_fd_values([p.r], [p.theta], params, h)
+    return Jacobian2(*(float(a[0]) for a in entries), p)
 
 
 def op_norm(m: Jacobian2) -> float:
@@ -212,11 +236,20 @@ def op_norm(m: Jacobian2) -> float:
 
 
 def distortion(m: Jacobian2) -> DistortionSample:
-    """op_norm^2 / det where the matrix is regular; 1 otherwise."""
+    """op_norm^2 / det where the matrix is regular; 1 otherwise.
+
+    As in _invariants, the entries are scaled by the power of two 2^s that
+    brings the largest into [1/2, 1), so that their squares stay in range
+    (entries of cusp_jacobian grow like 1/(r |log r|)).
+    """
+    entries = (m.a11, m.a12, m.a21, m.a22)
+    s = -math.frexp(max(abs(v) for v in entries))[1]
     with np.errstate(invalid="ignore", divide="ignore"):
-        k, norm2, det = _matrix_invariants(m.a11, m.a12, m.a21, m.a22)
-    regular = det > 0.0 and all(math.isfinite(v) for v in (m.a11, m.a12, m.a21, m.a22))
-    return DistortionSample(m.base, float(np.sqrt(norm2)), float(det), float(k) if regular else 1.0)
+        k, norm2, det = _matrix_invariants(*(math.ldexp(v, s) for v in entries))
+    regular = det > 0.0 and all(math.isfinite(v) for v in entries)
+    with np.errstate(over="ignore"):
+        return DistortionSample(m.base, float(np.ldexp(np.sqrt(norm2), -s)),
+                                float(np.ldexp(det, -2 * s)), float(k) if regular else 1.0)
 
 
 def _chain_polar(points, chain: MapChain):

@@ -75,16 +75,13 @@ class PlanePoint:
         return math.inf if self.at_infinity else math.hypot(self.x1, self.x2)
 
 
-def normalize_angle(theta: float) -> float:
-    """Reduce an angle into [-pi/2, 3pi/2)."""
-    t = math.fmod(theta + _HALF_PI, _TWO_PI)
-    if t < 0.0:
-        t += _TWO_PI
-    t -= _HALF_PI
+def normalize_angle(theta):
+    """Reduce angles into [-pi/2, 3pi/2); a float for a float, else an array."""
+    t = np.fmod(np.asarray(theta, dtype=float) + _HALF_PI, _TWO_PI)
+    t = np.where(t < 0.0, t + _TWO_PI, t) - _HALF_PI
     # fmod can land exactly on the open end after rounding
-    if t >= 3.0 * _HALF_PI:
-        t = -_HALF_PI
-    return t
+    t = np.where(t >= 3.0 * _HALF_PI, -_HALF_PI, t)
+    return float(t) if t.ndim == 0 else t
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,10 @@ __all__ = [
 _HALF_PI = math.pi / 2.0
 _LOG2 = math.log(2.0)
 _SECTORS = ((-_HALF_PI, _HALF_PI), (_HALF_PI, 3.0 * _HALF_PI))
+# Quadrature nodes per log-field call. A call holds about 80 bytes per node
+# in temporaries, so this bounds a report's memory for deep dyadic schemes;
+# the schemes of the verify suite and the README fit into one call.
+_NODES_PER_CALL = 1 << 16
 
 
 class Verdict(Enum):
@@ -92,29 +96,32 @@ def _log_annulus_contribs(u_in, u_out, bands, radial, angular, log_field):
     """Per-node log contributions of int exp(log_field) * r dr dtheta.
 
     Substituting r = e^u turns the area element into e^{2u} du dtheta.
-    `radial` and `angular` are Gauss-Legendre (nodes, weights) on [-1, 1].
-    Returns a flat array of log(node term); the annulus value is logsumexp
-    of it.
+    `u_in` and `u_out` are arrays of the annuli's log-radii; `radial` and
+    `angular` are Gauss-Legendre (nodes, weights) on [-1, 1]. All nodes go
+    through `log_field` in one call, on axes (annulus, band, sector, radial,
+    angular). Returns one row of log(node term) per annulus, in that axis
+    order; the annulus value is the logsumexp of its row.
     """
     (xu, wu), (xt, wt) = radial, angular
-    edges = np.linspace(u_in, u_out, bands + 1)
-    pieces = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        us = 0.5 * (hi - lo) * (xu + 1.0) + lo
-        lwu = np.log(0.5 * (hi - lo) * wu)
-        for a, b in _SECTORS:
-            ts = 0.5 * (b - a) * (xt + 1.0) + a
-            lwt = np.log(0.5 * (b - a) * wt)
-            lf = log_field(us[:, None], ts[None, :])
-            pieces.append((lf + 2.0 * us[:, None] + lwu[:, None] + lwt[None, :]).ravel())
-    return np.concatenate(pieces)
+    edges = np.linspace(u_in, u_out, bands + 1, axis=-1)
+    lo, hi = edges[:, :-1, None], edges[:, 1:, None]
+    us = (0.5 * (hi - lo) * (xu + 1.0) + lo)[:, :, None, :, None]
+    lwu = np.log(0.5 * (hi - lo) * wu)[:, :, None, :, None]
+    a, b = np.array(_SECTORS).T[:, :, None]
+    ts = (0.5 * (b - a) * (xt + 1.0) + a)[:, None, :]
+    lwt = np.log(0.5 * (b - a) * wt)[:, None, :]
+    lf = log_field(us, ts)
+    return (lf + 2.0 * us + lwu + lwt).reshape(len(edges), -1)
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    m = float(np.max(values))
-    if not math.isfinite(m):
-        return m
-    return m + math.log(float(np.sum(np.exp(values - m))))
+def _logsumexp(values: np.ndarray) -> list:
+    """logsumexp of each row, as floats."""
+    m = np.max(values, axis=1)
+    finite = np.isfinite(m)
+    with np.errstate(over="ignore"):
+        sums = np.sum(np.exp(values - np.where(finite, m, 0.0)[:, None]), axis=1)
+    return [mi + math.log(si) if ok else mi
+            for mi, si, ok in zip(m.tolist(), sums.tolist(), finite.tolist())]
 
 
 @dataclass(frozen=True)
@@ -197,14 +204,17 @@ def _integral_report(kind, parameter, transform, scheme, chain) -> Integrability
 
     radial = np.polynomial.legendre.leggauss(scheme.radial_nodes)
     angular = np.polynomial.legendre.leggauss(scheme.angular_nodes)
+    u = np.array(scheme.log2_eps) * _LOG2
+    u_out, u_in = u[:-1], u[1:]
+    nodes = scheme.annuli_per_step * len(_SECTORS) * scheme.radial_nodes * scheme.angular_nodes
+    step = max(1, _NODES_PER_CALL // nodes)  # annuli per call
     log_increments = []
-    for k0, k1 in zip(scheme.log2_eps[:-1], scheme.log2_eps[1:]):
-        contribs = _log_annulus_contribs(
-            k1 * _LOG2, k0 * _LOG2, scheme.annuli_per_step, radial, angular, log_integrand,
-        )
+    for i in range(0, len(u_in), step):
+        contribs = _log_annulus_contribs(u_in[i:i + step], u_out[i:i + step],
+                                         scheme.annuli_per_step, radial, angular, log_integrand)
         if np.any(np.isnan(contribs)):
             raise NodeError("non-finite integrand at a quadrature node")
-        log_increments.append(_logsumexp(contribs))
+        log_increments += _logsumexp(contribs)
     return _report(kind, parameter, scheme, log_increments)
 
 

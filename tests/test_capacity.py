@@ -79,6 +79,38 @@ def test_superpolynomial_decay_negative_control():
     assert not report.passed
 
 
+def test_decay_check_evaluates_the_energy_once_per_cutoff():
+    rs = [2.0**-k for k in range(3, 13)]
+    calls = []
+
+    def log_energy(r):
+        calls.append(r)
+        return cusp_test_energy(r, 1.0).log_value
+
+    report = superpolynomial_decay_check([0.5, 1.0, 2.0, 5.0, 10.0], rs, log_energy_fn=log_energy)
+    assert calls == rs
+    assert report == superpolynomial_decay_check([0.5, 1.0, 2.0, 5.0, 10.0], rs)
+
+
+def per_panel_log_width_integral(a, b):
+    """Reference: one Gauss panel at a time, then one log-sum-exp."""
+    s_lo, s_hi = 1.0 / b, 1.0 / a
+    edges = np.linspace(s_lo, s_hi, max(8, int(math.ceil((s_hi - s_lo) / 4.0))) + 1)
+    xg, wg = np.polynomial.legendre.leggauss(16)
+    logs = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        s = 0.5 * (hi - lo) * (xg + 1.0) + lo
+        logs.append(s - 2.0 * np.log(s) + np.log(wg) + math.log(0.5 * (hi - lo)))
+    allv = np.concatenate(logs)
+    m = float(np.max(allv))
+    return m + math.log(float(np.sum(np.exp(allv - m))))
+
+
+@pytest.mark.parametrize("a,b", [(0.2, 0.5), (2.0**-7, 0.5), (2.0**-12, 0.5), (1e-3, 0.3)])
+def test_log_width_integral_equals_the_per_panel_loop(a, b):
+    assert _log_width_integral(a, b) == per_panel_log_width_integral(a, b)
+
+
 def test_grid_capacity_annulus_low_resolution():
     exact = 2.0 * math.pi / math.log(4.0)
     errs = []

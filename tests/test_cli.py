@@ -158,15 +158,45 @@ def test_verify_only_name_fragment(capsys):
 
 
 def test_verify_negative_control_detects_wrong_derivative():
-    from cuspmap.distortion import cusp_jacobian
+    from cuspmap.distortion import cusp_jacobian_values
     from cuspmap.verify import criterion_1
 
-    def wrong(p, params):
-        m = cusp_jacobian(p, params)
-        return type(m)(m.a11 * (1.0 + 1e-4), m.a12, m.a21, m.a22, m.base)
+    def wrong(r, theta, params):
+        a11, a12, a21, a22 = cusp_jacobian_values(r, theta, params)
+        return a11 * (1.0 + 1e-4), a12, a21, a22
+
+    def nan_at_one_point(r, theta, params):
+        a11, a12, a21, a22 = cusp_jacobian_values(r, theta, params)
+        a11[500] = math.nan
+        return a11, a12, a21, a22
 
     assert criterion_1(jacobian_fn=wrong).passed is False
+    assert criterion_1(jacobian_fn=nan_at_one_point).passed is False
     assert criterion_1().passed is True
+
+
+def halton_reference(n, skip):
+    """The (2, 3)-Halton points one index and one digit at a time."""
+    def radical_inverse(k, base):
+        f, x = 1.0, 0.0
+        while k > 0:
+            f /= base
+            x += f * (k % base)
+            k //= base
+        return x
+
+    return [[radical_inverse(i + skip + 1, 2), radical_inverse(i + skip + 1, 3)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("n,skip", [(0, 20), (1, 0), (50, 17), (1000, 20), (300, 5000),
+                                    (40, -25)])
+def test_halton_equals_the_point_by_point_loop(n, skip):
+    from cuspmap.verify import halton
+
+    pts = halton(n, skip)
+    assert pts.shape == (n, 2)
+    assert pts.tolist() == halton_reference(n, skip)
 
 
 def test_cli_determinism(tmp_path, capsys):
@@ -245,6 +275,29 @@ def test_sizes_below_the_minimum_are_usage_errors(argv, capsys):
 def test_radii_outside_the_open_range_are_usage_errors(argv, capsys):
     assert usage_exit_code(argv) == 2
     assert "--r-min" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["distortion", "field", "--r-max", "2"],
+    ["distortion", "fit-bound", "--theta", "0", "--r-max", "2"],
+    ["distortion", "field", "--chain", "f1,f2", "--r-max", "2"],
+])
+def test_radii_above_one_with_the_squeeze_are_usage_errors(argv, capsys):
+    assert usage_exit_code(argv) == 2
+    assert "--r-max" in capsys.readouterr().err
+
+
+def test_radii_above_one_without_the_squeeze(capsys):
+    code, out = run(["distortion", "field", "--chain", "f1,f3", "--r-max", "2",
+                     "--nr", "2", "--ntheta", "2"], capsys)
+    assert code == 0
+    _, rows = rows_of(out)
+    assert [float(r["r"]) for r in rows] == [1e-8, 1e-8, 2.0, 2.0]
+
+
+def test_unknown_chain_stage_is_a_usage_error(capsys):
+    assert usage_exit_code(["integrate", "--kpow", "1", "--chain", "f1,f4"]) == 2
+    assert "unknown stage token 'f4'" in capsys.readouterr().err
 
 
 def test_verify_only_without_a_match_is_a_usage_error(capsys):

@@ -16,6 +16,8 @@ from cuspmap import (
     chain_distortion_values,
     cusp_jacobian,
     cusp_jacobian_fd,
+    cusp_jacobian_fd_values,
+    cusp_jacobian_values,
     distortion,
     distortion_table,
     fit_growth_envelope,
@@ -24,6 +26,7 @@ from cuspmap import (
     op_norm,
 )
 from cuspmap.distortion import Jacobian2, _scaled_entries, distortion_values
+from cuspmap.maps import _squeeze_polar, normalize_angle
 from cuspmap.profile import evaluate
 from cuspmap.verify import halton
 
@@ -97,6 +100,48 @@ def test_fd_guards():
         cusp_jacobian_fd(PolarPoint.from_angle(1.0 - 1e-9, 1.0), PARAMS, h=1e-7)
     with pytest.raises(DomainError):
         cusp_jacobian(PolarPoint.from_angle(1.5, 1.0), PARAMS)
+    # the array forms refuse a whole batch for one bad point
+    with pytest.raises(SeamError):
+        cusp_jacobian_fd_values([0.5, 0.5], [1.0, math.pi / 2 + 1e-9], PARAMS, h=1e-7)
+    with pytest.raises(SeamError):
+        cusp_jacobian_fd_values([0.5, 1.0 - 1e-9], [1.0, 1.0], PARAMS, h=1e-7)
+    with pytest.raises(DomainError):
+        cusp_jacobian_fd_values([0.5, 0.0], [1.0, 1.0], PARAMS, h=1e-7)
+    with pytest.raises(DomainError):
+        cusp_jacobian_values([0.5, 1.5], [1.0, 1.0], PARAMS)
+
+
+def point_jacobians(r, theta, h=1e-7):
+    """Reference: the analytic and FD entries of one point, on doubles."""
+    m11, m21, m22, _ = _scaled_entries(np.float64(math.log(r)), np.float64(theta),
+                                       PARAMS.log_cg())
+    hr = h * r
+    rho, phi = _squeeze_polar(np.array([r + hr, r - hr, r, r, r]),
+                              np.array([theta, theta, theta + h, theta - h, theta]), PARAMS)
+    u, v = rho * np.cos(phi), rho * np.sin(phi)
+    col_r = ((u[0] - u[1]) / (2.0 * hr), (v[0] - v[1]) / (2.0 * hr))
+    col_t = ((u[2] - u[3]) / (2.0 * h * r), (v[2] - v[3]) / (2.0 * h * r))
+    rho0 = math.hypot(u[4], v[4])
+    c, s = u[4] / rho0, v[4] / rho0
+    fd = [c * col_r[0] + s * col_r[1], c * col_t[0] + s * col_t[1],
+          -s * col_r[0] + c * col_r[1], -s * col_t[0] + c * col_t[1]]
+    return [float(m11) / r, 0.0, float(m21) / r, float(m22) / r], [float(e) for e in fd]
+
+
+def test_array_jacobians_equal_the_point_wrappers():
+    pts = halton(50, skip=7)
+    r = np.exp(math.log(1e-6) + pts[:, 0] * (math.log(0.9) - math.log(1e-6)))
+    for lo, hi in ((-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3),
+                   (math.pi / 2 + 1e-3, 3 * math.pi / 2 - 1e-3)):
+        theta = normalize_angle(lo + pts[:, 1] * (hi - lo))
+        analytic = np.column_stack(cusp_jacobian_values(r, theta, PARAMS)).tolist()
+        fd = np.column_stack(cusp_jacobian_fd_values(r, theta, PARAMS, h=1e-7)).tolist()
+        for ri, ti, a, f in zip(r.tolist(), theta.tolist(), analytic, fd):
+            p = PolarPoint(ri, ti)
+            m, mf = cusp_jacobian(p, PARAMS), cusp_jacobian_fd(p, PARAMS, h=1e-7)
+            assert [m.a11, m.a12, m.a21, m.a22] == a
+            assert [mf.a11, mf.a12, mf.a21, mf.a22] == f
+            assert point_jacobians(ri, ti) == (a, f)
 
 
 def test_op_norm_basics():
@@ -125,6 +170,18 @@ def test_distortion_conventions():
     assert distortion(Jacobian2(1, 0, 0, 0, BASE)).K == 1.0
     assert distortion(Jacobian2(1, 0, 0, -1, BASE)).K == 1.0
     assert distortion(Jacobian2(math.inf, 0, 0, 1, BASE)).K == 1.0
+
+
+@pytest.mark.parametrize("r", [1e-100, 1e-300])
+def test_point_distortion_at_deep_radii(r):
+    # entries of size 1/(r |log r|) whose squares leave the double range
+    p = PolarPoint.from_angle(r, 0.3)
+    d = distortion(cusp_jacobian(p, PARAMS))
+    op, _, k = distortion_table(math.log(r), p.theta, PARAMS)
+    assert d.K == pytest.approx(float(distortion_values(math.log(r), p.theta, PARAMS)),
+                                rel=1e-12)
+    assert d.op_norm == pytest.approx(float(op), rel=1e-12)
+    assert op_norm(cusp_jacobian(p, PARAMS)) == d.op_norm
 
 
 def test_field_bounds_and_sector_comparison():

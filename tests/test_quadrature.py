@@ -17,6 +17,8 @@ from cuspmap import (
     distortion_exp_integral,
     distortion_power_integral,
 )
+from cuspmap import quadrature
+from cuspmap.distortion import distortion_values
 from cuspmap.quadrature import _integral_report, _log_annulus_contribs, _logsumexp, _report
 
 CHAIN = MapChain.default()
@@ -26,11 +28,35 @@ CONFORMAL = MapChain(ProfileParams(), (MapStage.DISK_TO_HALFPLANE,))
 def annulus_integral(log_field, r_in, r_out, radial_nodes, angular_nodes):
     """Area integral of exp(log_field(log r, theta)) over an annulus, log-space path."""
     contribs = _log_annulus_contribs(
-        math.log(r_in), math.log(r_out), 1,
+        np.array([math.log(r_in)]), np.array([math.log(r_out)]), 1,
         np.polynomial.legendre.leggauss(radial_nodes),
         np.polynomial.legendre.leggauss(angular_nodes), log_field,
     )
-    return math.exp(_logsumexp(contribs))
+    return math.exp(_logsumexp(contribs)[0])
+
+
+def per_annulus_report(kind, parameter, transform, scheme):
+    """Reference report of CHAIN: one log-field call per annulus, band and
+    sector, node terms in that order, one log-sum-exp per annulus."""
+    half_pi = math.pi / 2.0
+    xu, wu = np.polynomial.legendre.leggauss(scheme.radial_nodes)
+    xt, wt = np.polynomial.legendre.leggauss(scheme.angular_nodes)
+    log_increments = []
+    for k0, k1 in zip(scheme.log2_eps[:-1], scheme.log2_eps[1:]):
+        edges = np.linspace(k1 * math.log(2.0), k0 * math.log(2.0), scheme.annuli_per_step + 1)
+        pieces = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            us = 0.5 * (hi - lo) * (xu + 1.0) + lo
+            lwu = np.log(0.5 * (hi - lo) * wu)
+            for a, b in ((-half_pi, half_pi), (half_pi, 3.0 * half_pi)):
+                ts = 0.5 * (b - a) * (xt + 1.0) + a
+                lwt = np.log(0.5 * (b - a) * wt)
+                lf = transform(np.log(distortion_values(us[:, None], ts[None, :], CHAIN.params)))
+                pieces.append((lf + 2.0 * us[:, None] + lwu[:, None] + lwt[None, :]).ravel())
+        values = np.concatenate(pieces)
+        m = float(np.max(values))
+        log_increments.append(m + math.log(float(np.sum(np.exp(values - m)))))
+    return _report(kind, parameter, scheme, log_increments)
 
 
 def classify(increments):
@@ -69,12 +95,33 @@ def test_annulus_guards():
 
 
 def test_node_doubling_stability():
-    from cuspmap.distortion import distortion_values
-
     log_k = lambda u, t: np.log(distortion_values(u, t, CHAIN.params))
     base = annulus_integral(log_k, 2.0**-6, 2.0**-5, 8, 16)
     fine = annulus_integral(log_k, 2.0**-6, 2.0**-5, 16, 32)
     assert abs(fine - base) / fine < 1e-3
+
+
+@pytest.mark.parametrize("scheme", [
+    AnnularScheme.dyadic(64),
+    AnnularScheme.geometric(65536),
+    AnnularScheme.dyadic(64, annuli_per_step=2),
+], ids=["dyadic64", "geometric65536", "dyadic64-2bands"])
+@pytest.mark.parametrize("integral,kind,parameter,transform", [
+    (distortion_power_integral, "K^p", 2.0, lambda lk: 2.0 * lk),
+    (distortion_exp_integral, "exp(lambda K)", 0.1, lambda lk: 0.1 * np.exp(lk)),
+], ids=["kpow", "explambda"])
+def test_batched_report_equals_the_per_annulus_loop(scheme, integral, kind, parameter, transform):
+    assert integral(parameter, scheme, CHAIN) == per_annulus_report(kind, parameter, transform,
+                                                                     scheme)
+
+
+@pytest.mark.parametrize("nodes_per_call", [600, 100])
+def test_batched_report_split_over_several_calls(nodes_per_call, monkeypatch):
+    # two annuli of 256 nodes per call, then one annulus per call
+    monkeypatch.setattr(quadrature, "_NODES_PER_CALL", nodes_per_call)
+    scheme = AnnularScheme.dyadic(64)
+    assert distortion_power_integral(2.0, scheme, CHAIN) == per_annulus_report(
+        "K^p", 2.0, lambda lk: 2.0 * lk, scheme)
 
 
 def test_scheme_validation():
