@@ -11,9 +11,12 @@ Three layers:
     parameters defaulting to 1;
 
   * a deterministic 5-point grid minimizer of the weighted Dirichlet energy
-    (weight sampled at edge midpoints, conjugate gradients preconditioned by
-    a multigrid V-cycle, from a zero start), plus the pullback capacity
-    experiment toward the cusp tip.
+    (weight sampled at edge midpoints, conjugate gradients from a zero
+    start), plus the pullback capacity experiment toward the cusp tip. CG,
+    its products, its stopping test and the final residual run in float64;
+    only the preconditioner, a multigrid V-cycle, runs in float32, on flat
+    contiguous levels padded to even sides. Its rounding can cost CG an
+    iteration or two, but not accuracy.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .distortion import chain_distortion_values
 from .domains import arc_diameter, preimage_arc
 from .errors import ConvergenceError, DomainError, MaskError
 from .maps import MapChain
+from .quadrature import gauss_legendre
 
 __all__ = [
     "CapacityMethod",
@@ -41,6 +45,7 @@ __all__ = [
     "grid_capacity",
     "annulus_condenser",
     "capacity_lower_bound",
+    "capacity_lower_bound_log",
     "preimage_diameter_bound_log",
     "ExperimentRow",
     "experiment_table",
@@ -89,7 +94,7 @@ def _log_width_integral(a: float, b: float) -> float:
     panels = max(8, int(math.ceil((s_hi - s_lo) / 4.0)))
     edges = np.linspace(s_lo, s_hi, panels + 1)
     lo, hi = edges[:-1], edges[1:]
-    xg, wg = np.polynomial.legendre.leggauss(16)
+    xg, wg = gauss_legendre(16)
     s = 0.5 * (hi - lo)[:, None] * (xg + 1.0) + lo[:, None]
     # math.log, not np.log: the two can differ in the last bit
     lw = np.array([math.log(v) for v in (0.5 * (hi - lo)).tolist()])
@@ -199,164 +204,222 @@ class Grid2D:
         return cls(x0=x0, y0=x0, h=h, nx=n, ny=n)
 
 
+# Grid rows per call of a weight function: 1/K holds about 20 arrays of its
+# input's size in temporaries, so a whole-grid call would need more memory
+# than the solve.
+_WEIGHT_ROWS = 32
+
+
 def _edge_midpoint_weights(grid: Grid2D, weight):
     """Weight arrays on x-edges (nx-1, ny) and y-edges (nx, ny-1)."""
     if weight is None:
         return np.ones((grid.nx - 1, grid.ny)), np.ones((grid.nx, grid.ny - 1))
-    X, Y = grid.nodes()
-    wx = weight(0.5 * (X[:-1, :] + X[1:, :]), 0.5 * (Y[:-1, :] + Y[1:, :]))
-    wy = weight(0.5 * (X[:, :-1] + X[:, 1:]), 0.5 * (Y[:, :-1] + Y[:, 1:]))
-    return np.asarray(wx, dtype=float), np.asarray(wy, dtype=float)
+    xs = grid.x0 + grid.h * np.arange(grid.nx)
+    ys = grid.y0 + grid.h * np.arange(grid.ny)
+    out = []
+    for x, y in ((0.5 * (xs[:-1] + xs[1:]), ys), (xs, 0.5 * (ys[:-1] + ys[1:]))):
+        w = np.empty((x.size, y.size))
+        for i in range(0, x.size, _WEIGHT_ROWS):
+            block = np.meshgrid(x[i : i + _WEIGHT_ROWS], y, indexing="ij")
+            w[i : i + _WEIGHT_ROWS] = weight(*block)
+        out.append(w)
+    return tuple(out)
 
 
-# Preconditioner: a symmetric V-cycle over 2x2 aggregates. Damped Jacobi
-# smooths before and after the coarse correction; the correction is scaled up
-# because a piecewise-constant prolongation undershoots smooth errors. The
-# hierarchy ends at a grid at most this many nodes across, where one Jacobi
-# step stands in for the solve (measured: a dense solve at 8 nodes across
-# saves no annulus iteration and costs a LAPACK call).
+# Preconditioner: a symmetric V-cycle over 2x2 aggregates, in float32. Damped
+# Jacobi smooths before and after the coarse correction; the correction is
+# scaled up because a piecewise-constant prolongation undershoots smooth
+# errors. The hierarchy ends at a grid at most this many nodes across, where
+# one Jacobi step stands in for the solve (measured: a dense solve at 8 nodes
+# across saves no annulus iteration and costs a LAPACK call).
 _JACOBI_DAMPING = 0.85
 _COARSE_SCALE = 1.6
 _COARSEST_SIDE = 2
 
 
-def _incident(wx, wy):
-    """Per node, the sum of the weights of its x- and y-edges."""
-    out = np.zeros((wy.shape[0], wx.shape[1]))
-    out[:-1, :] += wx
-    out[1:, :] += wx
-    out[:, :-1] += wy
-    out[:, 1:] += wy
-    return out
-
-
-def _aggregate(f, rows, cols, out=None):
-    """Sums of f over blocks of rows x cols entries (ragged at the far edges)."""
-    if out is None:
-        out = np.empty((-(-f.shape[0] // rows), -(-f.shape[1] // cols)))
-    out.fill(0.0)
-    for a in range(rows):
-        for c in range(cols):
-            part = f[a::rows, c::cols]
-            out[: part.shape[0], : part.shape[1]] += part
+def _weight_to(wx, wy, mask):
+    """Per node of the 2-D grid, the total weight of its edges to nodes in mask."""
+    out = np.zeros(mask.shape)
+    out[:-1, :] += wx * mask[1:, :]
+    out[1:, :] += wx * mask[:-1, :]
+    out[:, :-1] += wy * mask[:, 1:]
+    out[:, 1:] += wy * mask[:, :-1]
     return out
 
 
 class _Level:
-    """(A u)_i = ground_i u_i + sum_j w_ij (u_i - u_j) on one grid of the V-cycle.
+    """(A u)_k = g_k u_k + sum_j w_kj (u_k - u_j) on one flat n0 x n1 grid.
 
-    On the finest grid the fixed nodes are grid nodes holding u = 0, so there
-    is no ground term; `fixed` marks their rows, which are zeroed after each
-    product. On coarser grids a node without unknowns has no edges and no
-    ground, so its row vanishes by itself. `smooth` is the damped inverse
-    diagonal, 0 where there is no unknown. `res` and `tmp` are views of
-    buffers that all levels share.
+    n0 and n1 are even, so 2x2 aggregates tile the grid; node (i, j) is entry
+    i n1 + j. wx[k] weighs the edge from k to k + n1 and wy[k] the edge from
+    k to k + 1, both zero where the edge would leave the grid. The ground g
+    lives only next to the plates, so it is kept sparse (gidx, gval). Nodes
+    with no edges and no ground (fixed, padded) have zero rows: the values
+    they hold never reach another row. `smooth` is the damped inverse
+    diagonal, 0 on such nodes; `x`, `rhs`, `res` and `tmp` are the V-cycle's
+    buffers, and `res` and `tmp` are views of one buffer that all levels share.
     """
 
-    def __init__(self, wx, wy, ground=None, fixed=None):
-        self.wx, self.wy, self.ground, self.fixed = wx, wy, ground, fixed
-        diag = _incident(wx, wy)
-        if ground is not None:
-            diag += ground
-        if fixed is not None:
-            diag[fixed] = 0.0
-        diag[diag <= 0.0] = np.inf
-        self.smooth = np.divide(_JACOBI_DAMPING, diag, out=diag)
-        self.x = self.rhs = self.res = self.tmp = None
+    def __init__(self, shape, wx, wy, gidx, gval):
+        self.shape, self.wx, self.wy, self.gidx, self.gval = shape, wx, wy, gidx, gval
+        self.smooth = self.x = self.rhs = self.res = self.tmp = None
 
     def apply(self, u, out):
-        n0, n1 = u.shape
-        if self.ground is None:
-            out.fill(0.0)
-        else:
-            np.multiply(self.ground, u, out=out)
-        flux = np.subtract(u[1:, :], u[:-1, :], out=self.tmp[: (n0 - 1) * n1].reshape(n0 - 1, n1))
-        flux *= self.wx
-        out[:-1, :] -= flux
-        out[1:, :] += flux
-        flux = np.subtract(u[:, 1:], u[:, :-1], out=self.tmp[: n0 * (n1 - 1)].reshape(n0, n1 - 1))
-        flux *= self.wy
-        out[:, :-1] -= flux
-        out[:, 1:] += flux
-        if self.fixed is not None:
-            out[self.fixed] = 0.0
+        n, n1 = u.size, self.shape[1]
+        flux = np.subtract(u[1:], u[:-1], out=self.tmp[: n - 1])
+        flux *= self.wy[:-1]
+        np.negative(flux, out=out[:-1])
+        out[-1] = 0.0
+        out[1:] += flux
+        flux = np.subtract(u[n1:], u[:-n1], out=self.tmp[: n - n1])
+        flux *= self.wx[:-n1]
+        out[:-n1] -= flux
+        out[n1:] += flux
+        out[self.gidx] += self.gval * u[self.gidx]
         return out
 
-    def residual(self, rhs, x):
-        return np.subtract(rhs, self.apply(x, self.res), out=self.res)
+    def residual(self, x):
+        return np.subtract(self.rhs, self.apply(x, self.res), out=self.res)
 
     def dot(self, a, b):
-        return float(np.sum(np.multiply(a, b, out=self.tmp.reshape(a.shape))))
+        return float(np.sum(np.multiply(a, b, out=self.tmp)))
 
-    def norm(self, a):
-        return math.sqrt(self.dot(a, a))
+    def coarse(self):
+        """The Galerkin product P^T A P for piecewise-constant P over 2x2 aggregates.
+
+        A 5-point graph Laplacian whose edge weights sum the fine edges
+        crossing between two aggregates, plus a ground summing the fine
+        ground of each aggregate; padded to even sides.
+        """
+        n0, n1 = self.shape
+        m0, m1 = n0 // 2, n1 // 2
+        shape = (m0 + m0 % 2, m1 + m1 % 2)
+        wx, wy = np.zeros((2,) + shape, self.wx.dtype)
+        fx = self.wx.reshape(n0, n1)[1::2]
+        wx[:m0, :m1] = fx[:, 0::2] + fx[:, 1::2]
+        fy = self.wy.reshape(n0, n1)[:, 1::2]
+        wy[:m0, :m1] = fy[0::2] + fy[1::2]
+        i, j = np.divmod(self.gidx, n1)
+        ground = np.bincount(i // 2 * shape[1] + j // 2, weights=self.gval,
+                             minlength=shape[0] * shape[1])
+        gidx = np.flatnonzero(ground)
+        return _Level(shape, wx.ravel(), wy.ravel(), gidx, ground[gidx].astype(self.gval.dtype))
+
+    def smoother(self):
+        n1 = self.shape[1]
+        diag = np.zeros_like(self.wx)
+        diag[:-1] += self.wy[:-1]
+        diag[1:] += self.wy[:-1]
+        diag[:-n1] += self.wx[:-n1]
+        diag[n1:] += self.wx[:-n1]
+        diag[self.gidx] += self.gval
+        diag[diag <= 0.0] = np.inf
+        return np.divide(_JACOBI_DAMPING, diag, out=diag)
 
 
-def _hierarchy(wx, wy, free):
-    """Levels of the V-cycle, finest first, with their work buffers.
+def _fine_level(wx, wy, F, E, free):
+    """The finest level in float64, and the plate terms of the energy.
 
-    The coarse operator is the Galerkin product P^T A P for the
-    piecewise-constant prolongation P over 2x2 aggregates of free nodes: a
-    5-point graph Laplacian whose edge weights sum the fine edges crossing
-    between two aggregates, plus a ground term summing the fine ground of the
-    aggregate. Its diagonal equals the sum of the fine diagonals minus twice
-    the internal edges, without the cancellation. On the finest grid the
-    ground of a free node is the weight of its edges to fixed nodes.
+    Edges between free nodes stay edges; the weight of a free node's edges to
+    the plates becomes its ground. Every weight is multiplied by `scale`, the
+    power of two that brings the largest to [1/2, 1): exact, and it keeps
+    CG's products and the float32 V-cycle clear of over- and underflow for
+    weights of any double magnitude. Returns the level, (gidx, to_F, to_E,
+    fixed_energy) and scale: per ground node the weight of its edges to F and
+    to E (to_E is the right-hand side b), and the energy of the edges from F
+    to E.
     """
-    fixed = ~free
-    levels = [_Level(wx, wy, fixed=fixed)]
-    cross_x = wx * (free[:-1, :] & free[1:, :])
-    cross_y = wy * (free[:, :-1] & free[:, 1:])
-    ground = _incident(wx - cross_x, wy - cross_y)
-    ground[fixed] = 0.0
-    while max(ground.shape) > _COARSEST_SIDE:
-        cross_x = _aggregate(cross_x[1::2, :], 1, 2)
-        cross_y = _aggregate(cross_y[:, 1::2], 2, 1)
-        ground = _aggregate(ground, 2, 2)
-        levels.append(_Level(cross_x, cross_y, ground))
-    res, tmp = np.empty(free.size), np.empty(free.size)
-    for k, level in enumerate(levels):
-        shape = level.smooth.shape
-        level.x = np.empty(shape)
-        level.rhs = np.empty(shape) if k else None
-        level.res = res[: level.smooth.size].reshape(shape)
-        level.tmp = tmp
+    nx, ny = free.shape
+    shape = (nx + nx % 2, ny + ny % 2)
+    to_e = _weight_to(wx, wy, E)
+    fixed_energy = float(np.sum(to_e[F]))
+    to_e *= free
+    to_f = _weight_to(wx, wy, F)
+    to_f *= free
+    ground = to_f + to_e
+    ex, ey = np.zeros(shape), np.zeros(shape)
+    np.multiply(wx, free[:-1, :] & free[1:, :], out=ex[: nx - 1, :ny])
+    np.multiply(wy, free[:, :-1] & free[:, 1:], out=ey[:nx, : ny - 1])
+    scale = math.ldexp(1.0, -math.frexp(max(ex.max(), ey.max(), ground.max()))[1])
+    ex *= scale
+    ey *= scale
+    nodes = np.flatnonzero(ground)
+    i, j = np.divmod(nodes, ny)
+    gidx = i * shape[1] + j
+    plates = (gidx, to_f.ravel()[nodes] * scale, to_e.ravel()[nodes] * scale,
+              fixed_energy * scale)
+    fine = _Level(shape, ex.ravel(), ey.ravel(), gidx, ground.ravel()[nodes] * scale)
+    fine.tmp = np.empty(fine.wx.size)
+    return fine, plates, scale
+
+
+def _hierarchy(fine):
+    """The V-cycle's float32 levels, finest first, with their work buffers.
+
+    Their `res` and `tmp` share the memory of the float64 level's `tmp`,
+    which the V-cycle and the CG products use in turn.
+    """
+    levels = [_Level(fine.shape, fine.wx.astype(np.float32), fine.wy.astype(np.float32),
+                     fine.gidx, fine.gval.astype(np.float32))]
+    while max(levels[-1].shape) > _COARSEST_SIDE:
+        levels.append(levels[-1].coarse())
+    shared = fine.tmp.view(np.float32)
+    n = fine.wx.size
+    for level in levels:
+        size = level.wx.size
+        level.smooth = level.smoother()
+        level.x = np.empty(size, np.float32)
+        level.rhs = np.zeros(size, np.float32)  # padding stays 0
+        level.res, level.tmp = shared[:size], shared[n : n + size]
     return levels
 
 
-def _precondition(levels, rhs, k=0):
-    """Symmetric V-cycle from a zero start; the result is levels[k].x."""
+def _precondition(levels, k=0):
+    """Symmetric V-cycle on levels[k].rhs from a zero start; the result is levels[k].x."""
     level = levels[k]
-    x = np.multiply(level.smooth, rhs, out=level.x)
+    x = np.multiply(level.smooth, level.rhs, out=level.x)
     if k == len(levels) - 1:
         return x
     coarse = levels[k + 1]
-    _aggregate(level.residual(rhs, x), 2, 2, out=coarse.rhs)
-    xc = _precondition(levels, coarse.rhs, k + 1)
+    n0, n1 = level.shape
+    m0, m1 = n0 // 2, n1 // 2
+    # restriction: sums over 2x2 aggregates, first of row pairs, then of column pairs
+    rows = level.residual(x).reshape(m0, 2 * n1)
+    pairs = np.add(rows[:, :n1], rows[:, n1:], out=level.tmp[: m0 * n1].reshape(m0, n1))
+    pairs = pairs.reshape(m0, m1, 2)
+    np.add(pairs[..., 0], pairs[..., 1], out=coarse.rhs.reshape(coarse.shape)[:m0, :m1])
+    xc = _precondition(levels, k + 1)
     xc *= _COARSE_SCALE
+    xc = xc.reshape(coarse.shape)[:m0, :m1]
+    blocks = x.reshape(m0, 2, m1, 2)
     for a in range(2):
         for c in range(2):
-            part = x[a::2, c::2]
-            part += xc[: part.shape[0], : part.shape[1]]
-    if level.fixed is not None:
-        x[level.fixed] = 0.0
-    x += np.multiply(level.smooth, level.residual(rhs, x), out=level.res)
+            blocks[:, a, :, c] += xc
+    x += np.multiply(level.smooth, level.residual(x), out=level.res)
     return x
 
 
-def _pcg(levels, r, cfg: GridSolverConfig):
-    """CG on the finest level from u = 0, preconditioned by the V-cycle.
+def _pcg(fine, r, cfg: GridSolverConfig):
+    """CG in float64 on the finest level from u = 0, preconditioned by the V-cycle.
 
     r holds b on entry and the recurrence residual b - A u on exit; the loop
-    stops when ||r|| <= cfg.tolerance ||b||. Returns u, the iteration count
-    and ||b||.
+    stops when ||r|| <= cfg.tolerance ||b||. Each step casts r into the
+    float32 V-cycle and adds its output z into the float64 p, so the
+    preconditioner's rounding changes the iteration count, not the solution.
+    Returns u, the iteration count and ||b||.
     """
-    fine = levels[0]
+    levels = _hierarchy(fine)
+
+    def precondition():
+        np.copyto(levels[0].rhs, r)
+        return _precondition(levels)
+
     u = np.zeros_like(r)
-    z = _precondition(levels, r)
-    p = z.copy()
+    ap = np.empty_like(r)
+    z = precondition()
+    p = z.astype(r.dtype)
     rz = fine.dot(r, z)
-    b_norm = r_norm = fine.norm(r)
+    b_norm = r_norm = math.sqrt(fine.dot(r, r))
     threshold = cfg.tolerance * max(b_norm, 1e-300)
     iterations = 0
     while r_norm > threshold:
@@ -365,16 +428,16 @@ def _pcg(levels, r, cfg: GridSolverConfig):
                 f"CG residual {r_norm:.3e} above {threshold:.3e} "
                 f"after {cfg.max_iterations} iterations"
             )
-        ap = fine.apply(p, fine.x)  # the preconditioner's output buffer is free here
+        fine.apply(p, ap)
         alpha = rz / fine.dot(p, ap)
-        u += np.multiply(alpha, p, out=fine.res)
+        u += np.multiply(alpha, p, out=fine.tmp)
         r -= np.multiply(alpha, ap, out=ap)
-        z = _precondition(levels, r)
+        z = precondition()
         rz_new = fine.dot(r, z)
         p *= rz_new / rz
         p += z
         rz = rz_new
-        r_norm = fine.norm(r)
+        r_norm = math.sqrt(fine.dot(r, r))
         iterations += 1
     return u, iterations, b_norm
 
@@ -386,11 +449,11 @@ def grid_capacity(weight, F_mask, E_mask, domain_mask, grid: Grid2D,
     5-point stencil; `weight` is weight(x, y) vectorized over arrays (None for
     the unweighted problem), sampled at edge midpoints, or a pair (wx, wy) of
     x- and y-edge weights already sampled on this grid. Edges with either end
-    outside the domain are dropped (natural boundary). Conjugate gradients
-    preconditioned by a multigrid V-cycle, from a zero start, stopped when
-    the unpreconditioned residual falls to `cfg.tolerance` relative to the
-    right-hand side; the estimate records the iterations and the final
-    relative residual ||b - A u|| / ||b||, recomputed from u. In two
+    outside the domain are dropped (natural boundary). Conjugate gradients in
+    float64 preconditioned by a float32 multigrid V-cycle, from a zero start,
+    stopped when the unpreconditioned residual falls to `cfg.tolerance`
+    relative to the right-hand side; the estimate records the iterations and
+    the final relative residual ||b - A u|| / ||b||, recomputed from u. In two
     dimensions the grid spacing cancels: the energy is a plain weighted sum
     of squared differences.
     """
@@ -411,23 +474,23 @@ def grid_capacity(weight, F_mask, E_mask, domain_mask, grid: Grid2D,
         raise MaskError("edge weight shapes must match the grid")
     if np.any(~np.isfinite(wx)) or np.any(~np.isfinite(wy)) or np.any(wx < 0) or np.any(wy < 0):
         raise MaskError("weight must be finite and nonnegative on the grid")
-    # deactivate edges leaving the domain
-    wx = wx * (dom[:-1, :] & dom[1:, :])
-    wy = wy * (dom[:, :-1] & dom[:, 1:])
 
-    free = dom & ~F & ~E
-    levels = _hierarchy(wx, wy, free)
-    # b = -A applied to the plate values
-    r = np.negative(levels[0].apply(np.where(E, 1.0, 0.0), np.empty(free.shape)))
-    u, iterations, b_norm = _pcg(levels, r, cfg)
-    full = np.where(free, u, E)
-    del u
-    fine = levels[0]
-    # on free nodes the finest operator applied to the whole field is A u - b
-    residual = fine.norm(fine.apply(full, r)) / max(b_norm, 1e-300)
-    del levels, fine, r  # release the solver's buffers before the energy's temporaries
-    energy = float(np.sum(wx * (full[1:, :] - full[:-1, :]) ** 2)
-                   + np.sum(wy * (full[:, 1:] - full[:, :-1]) ** 2))
+    # every edge from a free node ends in the domain, as do the plates
+    fine, (gidx, to_f, to_e, fixed_energy), scale = _fine_level(wx, wy, F, E, dom & ~F & ~E)
+    del wx, wy  # for the unweighted problem, the last references to two grid arrays
+    r = np.zeros(fine.wx.size)
+    r[gidx] = to_e
+    u, iterations, b_norm = _pcg(fine, r, cfg)
+    # b - A u; rows of nodes without unknowns are 0
+    r = fine.apply(u, r)
+    r[gidx] -= to_e
+    residual = math.sqrt(fine.dot(r, r)) / max(b_norm, 1e-300)
+    del r
+    # edges between free nodes, then from free nodes to F (u = 0) and E (u = 1)
+    n1, ug = fine.shape[1], u[gidx]
+    energy = float(np.sum(fine.wy[:-1] * np.square(u[1:] - u[:-1]))
+                   + np.sum(fine.wx[:-n1] * np.square(u[n1:] - u[:-n1]))
+                   + np.sum(to_f * ug**2) + np.sum(to_e * (1.0 - ug) ** 2) + fixed_energy) / scale
     return CapacityEstimate(
         value=energy,
         method=CapacityMethod.GRID_SOLVE,
@@ -455,17 +518,29 @@ def annulus_condenser(rho: float, R: float, resolution: int):
 # Closed-form bounds
 # ---------------------------------------------------------------------------
 
+def _bound_log_argument(lam: float, exp_mass: float, log_diam_e: float, C: float) -> float:
+    """log(sqrt(4 L / pi) / diam E), checked to be positive, as are lam, L and C."""
+    if not (lam > 0.0 and exp_mass > 0.0 and C > 0.0):
+        raise DomainError("lambda, the exponential mass and C must be positive")
+    log_arg = 0.5 * math.log(4.0 * exp_mass / math.pi) - log_diam_e
+    if not (log_arg > 0.0):
+        raise DomainError(f"sqrt(4 L / pi) / diam E must exceed 1, got exp({log_arg})")
+    return log_arg
+
+
 def capacity_lower_bound(lam: float, exp_mass: float, log_diam_e: float, C: float = 1.0) -> float:
     """C * lam * (log(sqrt(4 L / pi) / diam E))^-2 with L the exp-distortion mass.
 
     Takes log diam E, so the bound stays exact after diam E underflows.
     """
-    if not (lam > 0.0 and exp_mass > 0.0):
-        raise DomainError("lambda and the exponential mass must be positive")
-    log_arg = 0.5 * math.log(4.0 * exp_mass / math.pi) - log_diam_e
-    if not (log_arg > 0.0):
-        raise DomainError(f"sqrt(4 L / pi) / diam E must exceed 1, got exp({log_arg})")
-    return C * lam * log_arg ** -2.0
+    return C * lam * _bound_log_argument(lam, exp_mass, log_diam_e, C) ** -2.0
+
+
+def capacity_lower_bound_log(lam: float, exp_mass: float, log_diam_e: float,
+                             C: float = 1.0) -> float:
+    """log of capacity_lower_bound; finite where the bound itself underflows."""
+    log_arg = _bound_log_argument(lam, exp_mass, log_diam_e, C)
+    return math.log(C) + math.log(lam) - 2.0 * math.log(log_arg)
 
 
 def preimage_diameter_bound_log(diam_eprime: float, lam: float, eps: float,
@@ -492,6 +567,7 @@ class ExperimentRow:
     diam_preimage: float
     log_diam_preimage: float
     lower_bound_ref: float
+    log_lower_bound_ref: float
     log_diam_bound: float
 
 
@@ -509,7 +585,8 @@ def tip_capacity_experiment(t_list, chain: MapChain, cfg: GridSolverConfig,
     the 1/K-weighted grid capacity of that condenser is solved. The row also
     carries both arc diameters (the preimage one additionally as a log value,
     since it collapses double-exponentially), the classical lower-bound
-    formula at the preimage log-diameter, and the log of the
+    formula at the preimage log-diameter with its log (finite after the bound
+    underflows, from t = 1/512 on), and the log of the
     preimage-diameter bound at the image-arc diameter. Both bounds take the
     reference constants lambda = eps = C = Ctilde = 1 and the exponential
     mass L = e pi of a conformal reference map.
@@ -527,6 +604,7 @@ def tip_capacity_experiment(t_list, chain: MapChain, cfg: GridSolverConfig,
     weights = _edge_midpoint_weights(
         grid, lambda x, y: 1.0 / chain_distortion_values(x + 1j * y, chain))
 
+    mass = math.e * math.pi
     rows = []
     prev_E = cap = None
     for t in ts:
@@ -554,7 +632,8 @@ def tip_capacity_experiment(t_list, chain: MapChain, cfg: GridSolverConfig,
             diam_image_arc=d_img,
             diam_preimage=arc.diameter,
             log_diam_preimage=arc.log_diameter,
-            lower_bound_ref=capacity_lower_bound(1.0, math.e * math.pi, arc.log_diameter),
+            lower_bound_ref=capacity_lower_bound(1.0, mass, arc.log_diameter),
+            log_lower_bound_ref=capacity_lower_bound_log(1.0, mass, arc.log_diameter),
             log_diam_bound=preimage_diameter_bound_log(d_img, 1.0, 1.0),
         ))
     return rows

@@ -74,6 +74,16 @@ def _int_at_least(low: int):
     return parse
 
 
+def _cusp_constant(text: str) -> float:
+    """argparse type: a cusp constant that ProfileParams accepts."""
+    value = float(text)
+    try:
+        ProfileParams(cg=value)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return value
+
+
 def _criterion_filter(text: str) -> str:
     """argparse type: a criterion number or name fragment that matches one."""
     try:
@@ -159,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cuspmap {__version__}")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cg", type=float, default=16.0,
+    common.add_argument("--cg", type=_cusp_constant, default=16.0,
                         help="cusp constant inside the double logarithm (default 16)")
     common.add_argument("--out", default="-", help="output path ('-' for stdout)")
     common.add_argument("--format", choices=("csv", "json", "pgm"), default="csv")
@@ -357,6 +367,7 @@ def _cmd_capacity_grid(args) -> int:
         "rho": rho, "R": R, "resolution": args.resolution,
         "capacity": cap.value, "exact_continuum": exact,
         "rel_error": abs(cap.value - exact) / exact,
+        "iterations": cap.iterations, "residual": cap.residual,
     }))
     return 0
 

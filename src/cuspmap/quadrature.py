@@ -15,6 +15,7 @@ radius floor: the integrand needs only log r.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -40,6 +41,18 @@ _SECTORS = ((-_HALF_PI, _HALF_PI), (_HALF_PI, 3.0 * _HALF_PI))
 # in temporaries, so this bounds a report's memory for deep dyadic schemes;
 # the schemes of the verify suite and the README fit into one call.
 _NODES_PER_CALL = 1 << 16
+
+
+@functools.lru_cache(maxsize=8)
+def gauss_legendre(n: int):
+    """Gauss-Legendre (nodes, weights) of n points on [-1, 1], computed once per n.
+
+    Every caller shares the arrays, so they are read-only.
+    """
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 class Verdict(Enum):
@@ -202,8 +215,8 @@ def _integral_report(kind, parameter, transform, scheme, chain) -> Integrability
     def log_integrand(u, t):
         return transform(log_k(u, t))
 
-    radial = np.polynomial.legendre.leggauss(scheme.radial_nodes)
-    angular = np.polynomial.legendre.leggauss(scheme.angular_nodes)
+    radial = gauss_legendre(scheme.radial_nodes)
+    angular = gauss_legendre(scheme.angular_nodes)
     u = np.array(scheme.log2_eps) * _LOG2
     u_out, u_in = u[:-1], u[1:]
     nodes = scheme.annuli_per_step * len(_SECTORS) * scheme.radial_nodes * scheme.angular_nodes

@@ -1,6 +1,7 @@
 """Capacity: test function, energies, decay, grid solver, bounds, experiment."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ from cuspmap import (
     tip_capacity_experiment,
 )
 from cuspmap import capacity as capacity_module
-from cuspmap.capacity import Grid2D, _log_width_integral, preimage_diameter_bound_log
+from cuspmap.distortion import chain_distortion_values
+from cuspmap.capacity import (
+    Grid2D,
+    _log_width_integral,
+    capacity_lower_bound_log,
+    preimage_diameter_bound_log,
+)
 
 # mpmath oracles (50 digits): 1 / int_r^{d/2} e^{1/t} dt
 ORACLE_ENERGY_02_1 = 0.1081907163546861654076
@@ -226,6 +233,79 @@ def test_preconditioned_solver_matches_plain_cg_on_the_tip_condenser(monkeypatch
     assert abs(cap.value - reference) <= 1e-9 * reference
 
 
+@pytest.mark.parametrize("nx,ny", [(41, 64), (64, 41), (37, 51)])
+def test_preconditioned_solver_matches_plain_cg_on_rectangular_grids(nx, ny):
+    # odd sides are padded to even ones inside the solver
+    grid = Grid2D(x0=0.0, y0=0.0, h=1.0 / 32.0, nx=nx, ny=ny)
+    X, Y = grid.nodes()
+    cx, cy = grid.h * (nx - 1) / 2.0, grid.h * (ny - 1) / 2.0
+    rr = np.hypot((X - cx) / cx, (Y - cy) / cy)
+    dom = rr <= 1.0
+    F, E = rr <= 0.3, dom & (rr >= 0.85)
+    # one E node next to F: an edge between the plates carries energy too
+    i = np.flatnonzero(F[:, ny // 2]).max() + 1
+    E[i, ny // 2] = True
+
+    def weight(x, y):
+        return 1.0 + 0.5 * np.sin(3.0 * x) * np.cos(2.0 * y)
+
+    cap = grid_capacity(weight, F, E, dom, grid, GridSolverConfig(resolution=32))
+    wx, wy = capacity_module._edge_midpoint_weights(grid, weight)
+    reference = reference_cg_energy(wx, wy, F, E, dom)
+    assert abs(cap.value - reference) <= 1e-9 * reference
+    assert cap.iterations <= 18  # a float64 V-cycle over the same aggregates takes 15
+
+
+def test_edge_weights_sampled_in_blocks_equal_one_whole_grid_call():
+    grid = Grid2D.square(1.0, 48)  # 97 rows: several blocks and a short last one
+    chain = MapChain.default()
+
+    def weight(x, y):
+        return 1.0 / chain_distortion_values(x + 1j * y, chain)
+
+    X, Y = grid.nodes()
+    whole_x = weight(0.5 * (X[:-1, :] + X[1:, :]), 0.5 * (Y[:-1, :] + Y[1:, :]))
+    whole_y = weight(0.5 * (X[:, :-1] + X[:, 1:]), 0.5 * (Y[:, :-1] + Y[:, 1:]))
+    wx, wy = capacity_module._edge_midpoint_weights(grid, weight)
+    assert wx.tobytes() == whole_x.tobytes() and wy.tobytes() == whole_y.tobytes()
+
+
+def test_tip_condenser_solve_is_bit_reproducible(monkeypatch):
+    calls = recorded_solves(monkeypatch)
+    tip_capacity_experiment([0.45], MapChain.default(), GridSolverConfig(resolution=128))
+    (args, first), = calls
+    again = capacity_module.grid_capacity(*args)
+    assert again.value.hex() == first.value.hex()
+    assert again.iterations == first.iterations
+    assert again.residual.hex() == first.residual.hex()
+
+
+def test_grid_capacity_peak_memory():
+    # 11.6 float64 node arrays was the peak of a float64 V-cycle on 2-D
+    # levels; the float32 one on flat levels holds about 10.7
+    grid, F, E, dom = annulus_condenser(0.25, 1.0, 128)
+    cfg = GridSolverConfig(resolution=128)
+    tracemalloc.start()
+    try:
+        grid_capacity(None, F, E, dom, grid, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11.6 * grid.nx * grid.ny * 8
+
+
+@pytest.mark.parametrize("scale", [1e40, 1e-40, 2.0**1000, 1e-300])
+def test_grid_capacity_weights_of_any_double_magnitude(scale):
+    # the solver scales the weights by a power of two
+    grid, F, E, dom = annulus_condenser(0.25, 1.0, 64)
+    cfg = GridSolverConfig(resolution=64)
+    base = grid_capacity(None, F, E, dom, grid, cfg)
+    scaled = grid_capacity(lambda x, y: np.full_like(x, scale), F, E, dom, grid, cfg)
+    assert scaled.value == pytest.approx(scale * base.value, rel=1e-12)
+    assert scaled.iterations == base.iterations
+    assert scaled.residual <= cfg.tolerance
+
+
 @pytest.mark.parametrize("res", [64, 128])
 def test_grid_capacity_iterations_and_residual(res):
     grid, F, E, dom = annulus_condenser(0.25, 1.0, res)
@@ -327,6 +407,31 @@ def test_tip_lower_bound_follows_the_preimage_log_diameter():
         want = (0.5 * math.log(4.0 * mass / math.pi) - r.log_diam_preimage) ** -2.0
         assert r.lower_bound_ref == pytest.approx(want, rel=1e-15)
     assert rows[0].lower_bound_ref > rows[1].lower_bound_ref > 0.0
+
+
+def test_capacity_lower_bound_log_formula():
+    for lam, mass, diam, c in ((0.7, 2.0, 0.01, 1.3), (2.0, 9.0, 0.3, 0.5)):
+        assert capacity_lower_bound_log(lam, mass, math.log(diam), c) == pytest.approx(
+            math.log(capacity_lower_bound(lam, mass, math.log(diam), c)), rel=1e-14)
+    # the bound is 1e-600, below the smallest double
+    assert capacity_lower_bound_log(1.0, math.pi / 4.0, -1e300) == pytest.approx(
+        -600.0 * math.log(10.0), rel=1e-14)
+    with pytest.raises(DomainError):
+        capacity_lower_bound_log(1.0, math.pi / 4.0, -1.0, C=0.0)
+
+
+def test_tip_lower_bound_log_stays_finite_where_the_bound_underflows():
+    rows = tip_capacity_experiment([2.0**-8, 2.0**-9], MapChain.default(),
+                                   GridSolverConfig(resolution=16), arc_samples=8)
+    mass = math.e * math.pi
+    for r in rows:
+        log_arg = 0.5 * math.log(4.0 * mass / math.pi) - r.log_diam_preimage
+        assert math.isfinite(r.log_lower_bound_ref)
+        assert r.log_lower_bound_ref == pytest.approx(-2.0 * math.log(log_arg), rel=1e-15)
+    assert rows[0].lower_bound_ref > 0.0 == rows[1].lower_bound_ref
+    assert rows[0].log_lower_bound_ref == pytest.approx(math.log(rows[0].lower_bound_ref),
+                                                        rel=1e-12)
+    assert rows[1].log_lower_bound_ref < rows[0].log_lower_bound_ref
 
 
 def test_grid2d_geometry():

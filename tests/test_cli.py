@@ -127,6 +127,9 @@ def test_capacity_grid_annulus(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["rel_error"] <= 0.02
+    # solver provenance
+    assert 0 < payload["iterations"] < 50
+    assert 0.0 < payload["residual"] <= 1e-8
 
 
 def test_capacity_theorem1_monotone_column(capsys):
@@ -136,7 +139,8 @@ def test_capacity_theorem1_monotone_column(capsys):
     header, rows = rows_of(out)
     # the column table criterion 8's tip_experiment.csv shares
     assert header == ["t", "capacity", "capacity_over_t", "capacity_over_t2", "diam_image_arc",
-                      "diam_preimage", "log_diam_preimage", "lower_bound_ref", "log_diam_bound"]
+                      "diam_preimage", "log_diam_preimage", "lower_bound_ref",
+                      "log_lower_bound_ref", "log_diam_bound"]
     caps = [float(r["capacity"]) for r in rows]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(caps[:-1], caps[1:]))
 
@@ -293,6 +297,16 @@ def test_radii_above_one_without_the_squeeze(capsys):
     assert code == 0
     _, rows = rows_of(out)
     assert [float(r["r"]) for r in rows] == [1e-8, 1e-8, 2.0, 2.0]
+
+
+@pytest.mark.parametrize("cg", ["-1", "0", "nan", "inf", "2"])
+@pytest.mark.parametrize("command", [
+    ["distortion", "field", "--nr", "2", "--ntheta", "2"],
+    ["integrate", "--kpow", "1"],
+])
+def test_cusp_constant_the_profile_rejects_is_a_usage_error(command, cg, capsys):
+    assert usage_exit_code(command + ["--cg", cg]) == 2
+    assert "argument --cg" in capsys.readouterr().err
 
 
 def test_unknown_chain_stage_is_a_usage_error(capsys):

@@ -223,3 +223,12 @@ def test_parameter_guards():
         distortion_power_integral(0.0, AnnularScheme.dyadic(8), CHAIN)
     with pytest.raises(DomainError):
         distortion_exp_integral(-1.0, AnnularScheme.dyadic(8), CHAIN)
+
+
+def test_gauss_legendre_rules_are_computed_once_and_read_only():
+    rule = quadrature.gauss_legendre(16)
+    assert quadrature.gauss_legendre(16) is rule
+    for cached, fresh in zip(rule, np.polynomial.legendre.leggauss(16)):
+        assert np.array_equal(cached, fresh)
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
