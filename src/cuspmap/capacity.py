@@ -16,7 +16,8 @@ Three layers:
     its products, its stopping test and the final residual run in float64;
     only the preconditioner, a multigrid V-cycle, runs in float32, on flat
     contiguous levels padded to even sides. Its rounding can cost CG an
-    iteration or two, but not accuracy.
+    iteration or two, but not accuracy. Each product is one pass of numpy's
+    einsum, never BLAS, so the bits do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -237,14 +238,10 @@ _COARSE_SCALE = 1.6
 _COARSEST_SIDE = 2
 
 
-def _weight_to(wx, wy, mask):
-    """Per node of the 2-D grid, the total weight of its edges to nodes in mask."""
-    out = np.zeros(mask.shape)
-    out[:-1, :] += wx * mask[1:, :]
-    out[1:, :] += wx * mask[:-1, :]
-    out[:, :-1] += wy * mask[:, 1:]
-    out[:, 1:] += wy * mask[:, :-1]
-    return out
+def _dot(a, b):
+    """a . b in one pass. einsum sums in numpy's own loop, not BLAS, whose ddot
+    splits the sum across threads: the bits would depend on the thread count."""
+    return float(np.einsum("i,i->", a, b))
 
 
 class _Level:
@@ -257,7 +254,8 @@ class _Level:
     with no edges and no ground (fixed, padded) have zero rows: the values
     they hold never reach another row. `smooth` is the damped inverse
     diagonal, 0 on such nodes; `x`, `rhs`, `res` and `tmp` are the V-cycle's
-    buffers, and `res` and `tmp` are views of one buffer that all levels share.
+    buffers, and `res` and `tmp` (one entry longer, for `apply`) are views of
+    one buffer that all levels share.
     """
 
     def __init__(self, shape, wx, wy, gidx, gval):
@@ -266,11 +264,13 @@ class _Level:
 
     def apply(self, u, out):
         n, n1 = u.size, self.shape[1]
-        flux = np.subtract(u[1:], u[:-1], out=self.tmp[: n - 1])
+        # y-fluxes between zero ends: out_k = flux_{k-1} - flux_k in one pass,
+        # the bits of -flux_k + flux_{k-1}; -0.0 matches even a zero's sign
+        pad = self.tmp[: n + 1]
+        pad[0] = pad[n] = -0.0
+        flux = np.subtract(u[1:], u[:-1], out=pad[1:n])
         flux *= self.wy[:-1]
-        np.negative(flux, out=out[:-1])
-        out[-1] = 0.0
-        out[1:] += flux
+        np.subtract(pad[:-1], pad[1:], out=out)
         flux = np.subtract(u[n1:], u[:-n1], out=self.tmp[: n - n1])
         flux *= self.wx[:-n1]
         out[:-n1] -= flux
@@ -280,9 +280,6 @@ class _Level:
 
     def residual(self, x):
         return np.subtract(self.rhs, self.apply(x, self.res), out=self.res)
-
-    def dot(self, a, b):
-        return float(np.sum(np.multiply(a, b, out=self.tmp)))
 
     def coarse(self):
         """The Galerkin product P^T A P for piecewise-constant P over 2x2 aggregates.
@@ -317,6 +314,29 @@ class _Level:
         return np.divide(_JACOBI_DAMPING, diag, out=diag)
 
 
+def _edges_to(wx, wy, src, dst):
+    """The edges from src to dst nodes of the 2-D grid as (flat src node
+    indices, weights), one pair per direction x+, x-, y+, y-."""
+    ny = src.shape[1]
+    out = []
+    for w, head, tail, di, dj in ((wx, src[:-1, :], dst[1:, :], 0, 0),
+                                  (wx, src[1:, :], dst[:-1, :], 1, 0),
+                                  (wy, src[:, :-1], dst[:, 1:], 0, 0),
+                                  (wy, src[:, 1:], dst[:, :-1], 0, 1)):
+        k = np.flatnonzero(head & tail)
+        i, j = np.divmod(k, w.shape[1])
+        out.append(((i + di) * ny + j + dj, w.ravel()[k]))
+    return out
+
+
+def _sum_per_node(edges, nodes):
+    """Per entry of the sorted `nodes`, the weights of its edges summed in order."""
+    total = np.zeros(nodes.size)
+    for k, w in edges:
+        total[np.searchsorted(nodes, k)] += w
+    return total
+
+
 def _fine_level(wx, wy, F, E, free):
     """The finest level in float64, and the plate terms of the energy.
 
@@ -331,25 +351,30 @@ def _fine_level(wx, wy, F, E, free):
     """
     nx, ny = free.shape
     shape = (nx + nx % 2, ny + ny % 2)
-    to_e = _weight_to(wx, wy, E)
-    fixed_energy = float(np.sum(to_e[F]))
-    to_e *= free
-    to_f = _weight_to(wx, wy, F)
-    to_f *= free
+    to_plate = [_edges_to(wx, wy, free, plate) for plate in (F, E)]
+    near = np.zeros(nx * ny, bool)
+    for edges in to_plate:
+        for nodes, _ in edges:
+            near[nodes] = True
+    nodes = np.flatnonzero(near)
+    to_f, to_e = (_sum_per_node(edges, nodes) for edges in to_plate)
     ground = to_f + to_e
+    keep = np.flatnonzero(ground)
+    nodes, to_f, to_e, ground = nodes[keep], to_f[keep], to_e[keep], ground[keep]
+    # over all of F in flat order, so that np.sum groups as over a grid array
+    fixed_energy = float(np.sum(_sum_per_node(_edges_to(wx, wy, F, E), np.flatnonzero(F))))
     ex, ey = np.zeros(shape), np.zeros(shape)
-    np.multiply(wx, free[:-1, :] & free[1:, :], out=ex[: nx - 1, :ny])
-    np.multiply(wy, free[:, :-1] & free[:, 1:], out=ey[:nx, : ny - 1])
-    scale = math.ldexp(1.0, -math.frexp(max(ex.max(), ey.max(), ground.max()))[1])
+    np.copyto(ex[: nx - 1, :ny], wx, where=free[:-1, :] & free[1:, :])
+    np.copyto(ey[:nx, : ny - 1], wy, where=free[:, :-1] & free[:, 1:])
+    top = max(ex.max(), ey.max(), ground.max(initial=0.0))
+    scale = math.ldexp(1.0, -math.frexp(top)[1])
     ex *= scale
     ey *= scale
-    nodes = np.flatnonzero(ground)
     i, j = np.divmod(nodes, ny)
     gidx = i * shape[1] + j
-    plates = (gidx, to_f.ravel()[nodes] * scale, to_e.ravel()[nodes] * scale,
-              fixed_energy * scale)
-    fine = _Level(shape, ex.ravel(), ey.ravel(), gidx, ground.ravel()[nodes] * scale)
-    fine.tmp = np.empty(fine.wx.size)
+    plates = (gidx, to_f * scale, to_e * scale, fixed_energy * scale)
+    fine = _Level(shape, ex.ravel(), ey.ravel(), gidx, ground * scale)
+    fine.tmp = np.empty(fine.wx.size + 1)
     return fine, plates, scale
 
 
@@ -370,7 +395,7 @@ def _hierarchy(fine):
         level.smooth = level.smoother()
         level.x = np.empty(size, np.float32)
         level.rhs = np.zeros(size, np.float32)  # padding stays 0
-        level.res, level.tmp = shared[:size], shared[n : n + size]
+        level.res, level.tmp = shared[:size], shared[n : n + size + 1]
     return levels
 
 
@@ -391,10 +416,11 @@ def _precondition(levels, k=0):
     xc = _precondition(levels, k + 1)
     xc *= _COARSE_SCALE
     xc = xc.reshape(coarse.shape)[:m0, :m1]
-    blocks = x.reshape(m0, 2, m1, 2)
-    for a in range(2):
-        for c in range(2):
-            blocks[:, a, :, c] += xc
+    # prolongation: one row of column pairs, added to both rows of each pair
+    row = level.tmp[: m0 * n1].reshape(m0, m1, 2)
+    row[..., 0] = xc
+    row[..., 1] = xc
+    x.reshape(m0, 2, n1)[...] += row.reshape(m0, 1, n1)
     x += np.multiply(level.smooth, level.residual(x), out=level.res)
     return x
 
@@ -416,10 +442,9 @@ def _pcg(fine, r, cfg: GridSolverConfig):
 
     u = np.zeros_like(r)
     ap = np.empty_like(r)
-    z = precondition()
-    p = z.astype(r.dtype)
-    rz = fine.dot(r, z)
-    b_norm = r_norm = math.sqrt(fine.dot(r, r))
+    p = precondition().astype(r.dtype)
+    rz = _dot(r, p)
+    b_norm = r_norm = math.sqrt(_dot(r, r))
     threshold = cfg.tolerance * max(b_norm, 1e-300)
     iterations = 0
     while r_norm > threshold:
@@ -429,15 +454,16 @@ def _pcg(fine, r, cfg: GridSolverConfig):
                 f"after {cfg.max_iterations} iterations"
             )
         fine.apply(p, ap)
-        alpha = rz / fine.dot(p, ap)
-        u += np.multiply(alpha, p, out=fine.tmp)
+        alpha = rz / _dot(p, ap)
+        u += np.multiply(alpha, p, out=fine.tmp[: u.size])
         r -= np.multiply(alpha, ap, out=ap)
-        z = precondition()
-        rz_new = fine.dot(r, z)
+        z = ap  # free until the next A p: z in float64 for the products
+        np.copyto(z, precondition())
+        rz_new = _dot(r, z)
         p *= rz_new / rz
         p += z
         rz = rz_new
-        r_norm = math.sqrt(fine.dot(r, r))
+        r_norm = math.sqrt(_dot(r, r))
         iterations += 1
     return u, iterations, b_norm
 
@@ -472,7 +498,8 @@ def grid_capacity(weight, F_mask, E_mask, domain_mask, grid: Grid2D,
     wx, wy = weight if isinstance(weight, tuple) else _edge_midpoint_weights(grid, weight)
     if wx.shape != (grid.nx - 1, grid.ny) or wy.shape != (grid.nx, grid.ny - 1):
         raise MaskError("edge weight shapes must match the grid")
-    if np.any(~np.isfinite(wx)) or np.any(~np.isfinite(wy)) or np.any(wx < 0) or np.any(wy < 0):
+    # min is NaN if any entry is, and the empty weights of a one-node-wide grid pass
+    if not all(w.min(initial=0.0) >= 0.0 and math.isfinite(w.max(initial=0.0)) for w in (wx, wy)):
         raise MaskError("weight must be finite and nonnegative on the grid")
 
     # every edge from a free node ends in the domain, as do the plates
@@ -484,7 +511,7 @@ def grid_capacity(weight, F_mask, E_mask, domain_mask, grid: Grid2D,
     # b - A u; rows of nodes without unknowns are 0
     r = fine.apply(u, r)
     r[gidx] -= to_e
-    residual = math.sqrt(fine.dot(r, r)) / max(b_norm, 1e-300)
+    residual = math.sqrt(_dot(r, r)) / max(b_norm, 1e-300)
     del r
     # edges between free nodes, then from free nodes to F (u = 0) and E (u = 1)
     n1, ug = fine.shape[1], u[gidx]

@@ -35,16 +35,28 @@ from .verify import run_suite, select_criteria
 __all__ = ["main"]
 
 
+def _number(text: str, kind=float, what: str = "a number"):
+    """kind(text), or the argparse error naming what was expected.
+
+    Without it argparse reports a ValueError as "invalid <function name> value".
+    """
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}") from None
+
+
 def _parse_theta(text: str) -> float:
     """Angles like '1.2', 'pi', '3pi/4', '-pi/2'."""
     s = text.strip().replace(" ", "")
     if "pi" not in s:
-        return float(s)
+        return _number(s, what="an angle")
     m = re.fullmatch(r"([+-]?\d*\.?\d*)pi(?:/(\d*\.?\d+))?", s)
     if not m:
         raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}")
     coef = m.group(1)
-    num = float(coef) if coef not in ("", "+", "-") else (-1.0 if coef == "-" else 1.0)
+    num = (_number(coef, what="a multiple of pi") if coef not in ("", "+", "-")
+           else (-1.0 if coef == "-" else 1.0))
     den = float(m.group(2)) if m.group(2) else 1.0
     return num * math.pi / den
 
@@ -55,7 +67,7 @@ def _parse_points(text: str):
         coords = chunk.split(",")
         if len(coords) != 2:
             raise argparse.ArgumentTypeError(f"point {chunk!r} is not 'x1,x2'")
-        z = complex(float(coords[0]), float(coords[1]))
+        z = complex(*(_number(c, what="a coordinate") for c in coords))
         if not cmath.isfinite(z):
             raise argparse.ArgumentTypeError(f"point {chunk!r} is not finite")
         pts.append(z)
@@ -66,7 +78,7 @@ def _int_at_least(low: int):
     """argparse type: an integer >= low."""
 
     def parse(text: str) -> int:
-        value = int(text)
+        value = _number(text, int, "an integer")
         if value < low:
             raise argparse.ArgumentTypeError(f"{value} is below the minimum {low}")
         return value
@@ -76,7 +88,7 @@ def _int_at_least(low: int):
 
 def _cusp_constant(text: str) -> float:
     """argparse type: a cusp constant that ProfileParams accepts."""
-    value = float(text)
+    value = _number(text)
     try:
         ProfileParams(cg=value)
     except DomainError as exc:
@@ -94,7 +106,18 @@ def _criterion_filter(text: str) -> str:
 
 
 def _parse_floats(text: str):
-    return [float(v) for v in text.split(",") if v.strip()]
+    values = [_number(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"{text!r} holds no number")
+    return values
+
+
+def _band(text: str) -> list:
+    """argparse type: two numbers LO,HI."""
+    band = _parse_floats(text)
+    if len(band) != 2:
+        raise argparse.ArgumentTypeError(f"{text!r} is not two numbers LO,HI")
+    return band
 
 
 def _chain_stages(text: str) -> tuple:
@@ -208,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fb.add_argument("--r-min", dest="r_lo", type=float, default=1e-30)
     fb.add_argument("--r-max", dest="r_hi", type=float, default=1e-2)
     fb.add_argument("--n", type=_int_at_least(1), default=29)
-    fb.add_argument("--band", type=_parse_floats, default=[0.05, 2.0])
+    fb.add_argument("--band", type=_band, default=[0.05, 2.0])
 
     p_int = sub.add_parser("integrate", parents=[common],
                            help="partial integrals of K^p or exp(lambda K)")

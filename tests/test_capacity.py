@@ -1,7 +1,11 @@
 """Capacity: test function, energies, decay, grid solver, bounds, experiment."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,9 +237,8 @@ def test_preconditioned_solver_matches_plain_cg_on_the_tip_condenser(monkeypatch
     assert abs(cap.value - reference) <= 1e-9 * reference
 
 
-@pytest.mark.parametrize("nx,ny", [(41, 64), (64, 41), (37, 51)])
-def test_preconditioned_solver_matches_plain_cg_on_rectangular_grids(nx, ny):
-    # odd sides are padded to even ones inside the solver
+def rectangular_condenser(nx, ny):
+    """An elliptic condenser on an nx x ny grid with a smooth varying weight."""
     grid = Grid2D(x0=0.0, y0=0.0, h=1.0 / 32.0, nx=nx, ny=ny)
     X, Y = grid.nodes()
     cx, cy = grid.h * (nx - 1) / 2.0, grid.h * (ny - 1) / 2.0
@@ -249,11 +252,171 @@ def test_preconditioned_solver_matches_plain_cg_on_rectangular_grids(nx, ny):
     def weight(x, y):
         return 1.0 + 0.5 * np.sin(3.0 * x) * np.cos(2.0 * y)
 
+    return grid, weight, F, E, dom
+
+
+@pytest.mark.parametrize("nx,ny", [(41, 64), (64, 41), (37, 51)])
+def test_preconditioned_solver_matches_plain_cg_on_rectangular_grids(nx, ny):
+    # odd sides are padded to even ones inside the solver
+    grid, weight, F, E, dom = rectangular_condenser(nx, ny)
     cap = grid_capacity(weight, F, E, dom, grid, GridSolverConfig(resolution=32))
     wx, wy = capacity_module._edge_midpoint_weights(grid, weight)
     reference = reference_cg_energy(wx, wy, F, E, dom)
     assert abs(cap.value - reference) <= 1e-9 * reference
     assert cap.iterations <= 18  # a float64 V-cycle over the same aggregates takes 15
+
+
+def weight_to(wx, wy, mask):
+    """Per node of the 2-D grid, the total weight of its edges to nodes in mask."""
+    out = np.zeros(mask.shape)
+    out[:-1, :] += wx * mask[1:, :]
+    out[1:, :] += wx * mask[:-1, :]
+    out[:, :-1] += wy * mask[:, 1:]
+    out[:, 1:] += wy * mask[:, :-1]
+    return out
+
+
+def plate_condenser():
+    """The 37 x 51 rectangular condenser with many F-E edges, free nodes with
+    four edges to F and one free-F edge of weight 0; also its free nodes and
+    edge weights."""
+    grid, weight, F, E, dom = rectangular_condenser(37, 51)
+    # holes in F whose four edge weights sum to other bits in another order
+    F[[16, 18, 22], [24, 21, 26]] = False
+    for j in range(20, 31):  # E nodes next to F along a run of columns
+        i = np.flatnonzero(F[:, j]).max() + 1
+        E[i, j] = True
+    wx, wy = capacity_module._edge_midpoint_weights(grid, weight)
+    free = dom & ~F & ~E
+    i = np.flatnonzero(F[:, 25]).min()
+    assert free[i - 1, 25]
+    wx[i - 1, 25] = 0.0  # the x+ edge from free node (i - 1, 25) into F
+    return grid, (wx, wy), F, E, dom, free
+
+
+def test_fine_level_plate_terms_equal_the_dense_grid_sums():
+    grid, (wx, wy), F, E, dom, free = plate_condenser()
+    fine, (gidx, to_f, to_e, fixed_energy), scale = capacity_module._fine_level(
+        wx, wy, F, E, free)
+    # the dense form: a grid array per plate, with the ground in the same order
+    dense_e = weight_to(wx, wy, E)
+    dense_fixed = float(np.sum(dense_e[F])) * scale
+    dense_e *= free
+    dense_f = weight_to(wx, wy, F) * free
+    ground = dense_f + dense_e
+    nodes = np.flatnonzero(ground)
+    i, j = np.divmod(nodes, grid.ny)
+    assert fine.shape == (38, 52)
+    assert gidx.tolist() == (i * 52 + j).tolist() == fine.gidx.tolist()
+    assert fine.gval.tobytes() == (ground.ravel()[nodes] * scale).tobytes()
+    assert to_f.tobytes() == (dense_f.ravel()[nodes] * scale).tobytes()
+    assert to_e.tobytes() == (dense_e.ravel()[nodes] * scale).tobytes()
+    assert fixed_energy > 0.0 and fixed_energy.hex() == dense_fixed.hex()
+    ex, ey = np.zeros(fine.shape), np.zeros(fine.shape)
+    ex[:36, :51] = wx * (free[:-1, :] & free[1:, :]) * scale
+    ey[:37, :50] = wy * (free[:, :-1] & free[:, 1:]) * scale
+    assert fine.wx.tobytes() == ex.tobytes() and fine.wy.tobytes() == ey.tobytes()
+
+
+def eight_pass_apply(level, u):
+    """A u with a negated copy of the y-fluxes, then two adds per direction."""
+    n1 = level.shape[1]
+    out = np.empty_like(u)
+    flux = (u[1:] - u[:-1]) * level.wy[:-1]
+    out[:-1] = -flux
+    out[-1] = 0.0
+    out[1:] += flux
+    flux = (u[n1:] - u[:-n1]) * level.wx[:-n1]
+    out[:-n1] -= flux
+    out[n1:] += flux
+    out[level.gidx] += level.gval * u[level.gidx]
+    return out
+
+
+def four_add_vcycle(levels, rhs, k=0):
+    """The V-cycle with eight_pass_apply and prolongation by four strided adds."""
+    level = levels[k]
+    x = level.smooth * rhs
+    if k == len(levels) - 1:
+        return x
+    coarse = levels[k + 1]
+    n0, n1 = level.shape
+    m0, m1 = n0 // 2, n1 // 2
+    rows = (rhs - eight_pass_apply(level, x)).reshape(m0, 2 * n1)
+    pairs = (rows[:, :n1] + rows[:, n1:]).reshape(m0, m1, 2)
+    coarse_rhs = np.zeros(coarse.wx.size, x.dtype)
+    coarse_rhs.reshape(coarse.shape)[:m0, :m1] = pairs[..., 0] + pairs[..., 1]
+    xc = four_add_vcycle(levels, coarse_rhs, k + 1) * capacity_module._COARSE_SCALE
+    xc = xc.reshape(coarse.shape)[:m0, :m1]
+    blocks = x.reshape(m0, 2, m1, 2)
+    for a in range(2):
+        for c in range(2):
+            blocks[:, a, :, c] += xc
+    return x + level.smooth * (rhs - eight_pass_apply(level, x))
+
+
+def test_stencil_and_v_cycle_are_bit_identical_to_the_plain_formulas():
+    # odd sides padded to even; ground nodes next to both plates
+    grid, (wx, wy), F, E, dom, free = plate_condenser()
+    fine, _, _ = capacity_module._fine_level(wx, wy, F, E, free)
+    levels = capacity_module._hierarchy(fine)
+    assert fine.gidx.size > 0 and len(levels) > 3
+    rng = np.random.default_rng(5)
+    for level in [fine] + levels:
+        # equal pairs make zero fluxes, whose signs must match too
+        u = rng.standard_normal(level.wx.size).astype(level.wx.dtype)
+        u[1::2] = u[::2]
+        out = np.empty_like(u)
+        assert level.apply(u, out) is out
+        assert out.tobytes() == eight_pass_apply(level, u).tobytes()
+    r = rng.standard_normal(fine.wx.size)
+    np.copyto(levels[0].rhs, r)
+    want = four_add_vcycle(levels, levels[0].rhs.copy())
+    assert capacity_module._precondition(levels).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_weights_that_are_not_finite_and_nonnegative_are_mask_errors(bad, axis):
+    grid, F, E, dom = annulus_condenser(0.25, 1.0, 16)
+    cfg = GridSolverConfig(resolution=16)
+    weights = [np.ones((grid.nx - 1, grid.ny)), np.ones((grid.nx, grid.ny - 1))]
+    weights[axis][3, 5] = bad  # an edge outside the domain counts too
+    with pytest.raises(MaskError, match="finite and nonnegative"):
+        grid_capacity(tuple(weights), F, E, dom, grid, cfg)
+    with pytest.raises(MaskError, match="finite and nonnegative"):
+        grid_capacity(lambda x, y: np.where(x > 0.5, bad, 1.0), F, E, dom, grid, cfg)
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 5), (5, 1)])
+def test_one_node_wide_grids_have_no_edges_across(nx, ny):
+    # four unit edges in series: capacity 1/4; the weights across are empty
+    grid = Grid2D(x0=0.0, y0=0.0, h=1.0 / 16.0, nx=nx, ny=ny)
+    F, E = np.zeros((nx, ny), bool), np.zeros((nx, ny), bool)
+    F.flat[0] = E.flat[-1] = True
+    cap = grid_capacity(None, F, E, np.ones_like(F), grid, GridSolverConfig(resolution=16))
+    assert cap.value == pytest.approx(0.25, rel=1e-12)
+
+
+SOLVE_RES_64 = """
+from cuspmap import GridSolverConfig, annulus_condenser, grid_capacity
+grid, F, E, dom = annulus_condenser(0.25, 1.0, 64)
+cap = grid_capacity(None, F, E, dom, grid, GridSolverConfig(resolution=64))
+print(cap.value.hex(), cap.iterations, cap.residual.hex())
+"""
+
+
+def test_solve_does_not_depend_on_the_blas_thread_count():
+    # BLAS's ddot splits its sum across threads; the solver's products must not
+    src = str(Path(capacity_module.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", SOLVE_RES_64], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(done.stdout.split())
+    assert outputs[0] == outputs[1] and len(outputs[0]) == 3
 
 
 def test_edge_weights_sampled_in_blocks_equal_one_whole_grid_call():

@@ -309,6 +309,28 @@ def test_cusp_constant_the_profile_rejects_is_a_usage_error(command, cg, capsys)
     assert "argument --cg" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["distortion", "field", "--cg", "abc"], "argument --cg: 'abc' is not a number"),
+    (["map", "sample", "--grid", "x"], "argument --grid: 'x' is not an integer"),
+    (["map", "sample", "--random", "1.5"], "argument --random: '1.5' is not an integer"),
+    (["capacity", "theorem1", "--t", "abc"], "argument --t: 'abc' is not a number"),
+    (["capacity", "theorem1", "--t", "0.25,q"], "argument --t: 'q' is not a number"),
+    (["map", "sample", "--points=1,x"], "argument --points: 'x' is not a coordinate"),
+    (["distortion", "fit-bound", "--theta", "zz"], "argument --theta: 'zz' is not an angle"),
+    (["distortion", "fit-bound", "--theta", ".pi"],
+     "argument --theta: '.' is not a multiple of pi"),
+    (["capacity", "theorem1", "--t", ","], "argument --t: ',' holds no number"),
+    (["distortion", "fit-bound", "--theta", "pi", "--band", "1"],
+     "argument --band: '1' is not two numbers LO,HI"),
+])
+def test_malformed_numbers_are_plain_usage_errors(argv, message, capsys):
+    assert usage_exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    # argparse names the type function of a ValueError it catches itself
+    assert "invalid" not in err and "_" not in err.split("error:")[1]
+
+
 def test_unknown_chain_stage_is_a_usage_error(capsys):
     assert usage_exit_code(["integrate", "--kpow", "1", "--chain", "f1,f4"]) == 2
     assert "unknown stage token 'f4'" in capsys.readouterr().err
