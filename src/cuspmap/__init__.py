@@ -21,23 +21,15 @@ from .profile import ProfileEval, ProfileParams, depth, evaluate
 from .maps import (
     MapChain,
     MapStage,
-    PlanePoint,
-    PolarPoint,
     boundary_image_trace,
     chain_inverse_values,
     chain_values,
-    mobius_to_disk,
-    mobius_to_disk_inv,
-    mobius_to_halfplane,
-    mobius_to_halfplane_inv,
 )
 from .domains import arc_diameter, preimage_arc
 from .distortion import (
     DistortionSample,
     Jacobian2,
     chain_distortion_values,
-    cusp_jacobian,
-    cusp_jacobian_fd,
     cusp_jacobian_fd_values,
     cusp_jacobian_values,
     distortion,

@@ -65,8 +65,6 @@ class CapacityEstimate:
 
     value: float
     method: CapacityMethod
-    weight_desc: str
-    pair_desc: str
     log_value: float = None
     iterations: int = None         # preconditioned CG iterations (grid solves)
     residual: float = None         # final ||b - A u|| / ||b|| (grid solves)
@@ -104,6 +102,11 @@ def _log_width_integral(a: float, b: float) -> float:
     return m + math.log(float(np.sum(np.exp(allv - m))))
 
 
+def _check_test_radii(r: float, d: float) -> None:
+    if not (0.0 < r < d / 2.0 <= 0.5):
+        raise DomainError(f"need 0 < r < d/2 <= 1/2, got r={r}, d={d}")
+
+
 def cusp_test_energy(r: float, d: float) -> CapacityEstimate:
     """Exact Dirichlet energy 1 / int_r^{d/2} e^{1/t} dt of the test function.
 
@@ -113,16 +116,13 @@ def cusp_test_energy(r: float, d: float) -> CapacityEstimate:
     condenser pairing the tip arc against that far set. The double value
     underflows to 0 for r below ~0.0007; log_value is exact regardless.
     """
-    if not (0.0 < r < d / 2.0 <= 0.5):
-        raise DomainError(f"need 0 < r < d/2 <= 1/2, got r={r}, d={d}")
+    _check_test_radii(r, d)
     log_energy = -_log_width_integral(r, d / 2.0)
     with np.errstate(under="ignore"):
         value = float(np.exp(log_energy))
     return CapacityEstimate(
         value=value,
         method=CapacityMethod.CLOSED_FORM,
-        weight_desc="unweighted",
-        pair_desc=f"tip arc within {r} vs far set at distance {d}",
         log_value=log_energy,
     )
 
@@ -521,17 +521,19 @@ def grid_capacity(weight, F_mask, E_mask, domain_mask, grid: Grid2D,
     return CapacityEstimate(
         value=energy,
         method=CapacityMethod.GRID_SOLVE,
-        weight_desc="unweighted" if weight is None else "weighted",
-        pair_desc=f"grid condenser ({int(F.sum())} vs {int(E.sum())} nodes)",
         iterations=iterations,
         residual=residual,
     )
 
 
+def _check_annulus(rho: float, R: float) -> None:
+    if not (0.0 < rho < R < math.inf):
+        raise DomainError(f"need 0 < rho < R < inf, got ({rho}, {R})")
+
+
 def annulus_condenser(rho: float, R: float, resolution: int):
     """Grid and masks for the classical annulus condenser (F = inner disk)."""
-    if not (0.0 < rho < R):
-        raise DomainError(f"need 0 < rho < R, got ({rho}, {R})")
+    _check_annulus(rho, R)
     grid = Grid2D.square(R * 1.02, resolution)
     X, Y = grid.nodes()
     rr = np.hypot(X, Y)
@@ -636,16 +638,13 @@ def tip_capacity_experiment(t_list, chain: MapChain, cfg: GridSolverConfig,
     prev_E = cap = None
     for t in ts:
         arc = preimage_arc(t, chain, arc_samples)
+        z = arc.samples
+        i = np.clip(np.rint((z.real - grid.x0) / grid.h).astype(int), 0, grid.nx - 1)
+        j = np.clip(np.rint((z.imag - grid.y0) / grid.h).astype(int), 0, grid.ny - 1)
+        # boundary samples: step inward toward the center
+        i = np.where(dom[i, j], i, i + np.where(z.real < 0.0, 1, -1))
         E = np.zeros_like(dom)
-        for p in arc.samples:
-            i = int(round((p.x1 - grid.x0) / grid.h))
-            j = int(round((p.x2 - grid.y0) / grid.h))
-            i = min(max(i, 0), grid.nx - 1)
-            j = min(max(j, 0), grid.ny - 1)
-            if not dom[i, j]:  # boundary samples: step inward toward the center
-                i += 1 if p.x1 < 0 else -1
-            if dom[i, j] and not F[i, j]:
-                E[i, j] = True
+        E[i, j] = dom[i, j] & ~F[i, j]
         # the solve sees t only through E: an unchanged mask keeps the capacity
         if prev_E is None or not np.array_equal(E, prev_E):
             cap = grid_capacity(weights, F, E, dom, grid, cfg)

@@ -18,6 +18,8 @@ import numpy as np
 from . import __version__
 from .capacity import (
     GridSolverConfig,
+    _check_annulus,
+    _check_test_radii,
     annulus_condenser,
     cusp_test_energy,
     experiment_table,
@@ -25,11 +27,17 @@ from .capacity import (
     tip_capacity_experiment,
 )
 from .distortion import distortion_table, distortion_values, fit_growth_envelope
+from .domains import preimage_arc
 from .errors import DomainError, ToolkitError
 from .io_formats import csv_text, json_text, write_pgm
 from .maps import MapChain, MapStage, boundary_image_trace, chain_inverse_values, chain_values
 from .profile import ProfileParams
-from .quadrature import AnnularScheme, distortion_exp_integral, distortion_power_integral
+from .quadrature import (
+    AnnularScheme,
+    _check_parameter,
+    distortion_exp_integral,
+    distortion_power_integral,
+)
 from .verify import run_suite, select_criteria
 
 __all__ = ["main"]
@@ -86,14 +94,20 @@ def _int_at_least(low: int):
     return parse
 
 
-def _cusp_constant(text: str) -> float:
-    """argparse type: a cusp constant that ProfileParams accepts."""
-    value = _number(text)
-    try:
-        ProfileParams(cg=value)
-    except DomainError as exc:
-        raise argparse.ArgumentTypeError(exc.args[0]) from None
-    return value
+def _checked(check, parse=_number):
+    """argparse type: parse(text), with each of its values passed to a library
+    range check; the check's DomainError is the usage message."""
+
+    def run(text: str):
+        value = parse(text)
+        try:
+            for v in value if isinstance(value, list) else [value]:
+                check(v)
+        except DomainError as exc:
+            raise argparse.ArgumentTypeError(exc.args[0]) from None
+        return value
+
+    return run
 
 
 def _criterion_filter(text: str) -> str:
@@ -192,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cuspmap {__version__}")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cg", type=_cusp_constant, default=16.0,
+    common.add_argument("--cg", type=_checked(lambda cg: ProfileParams(cg=cg)), default=16.0,
                         help="cusp constant inside the double logarithm (default 16)")
     common.add_argument("--out", default="-", help="output path ('-' for stdout)")
     common.add_argument("--format", choices=("csv", "json", "pgm"), default="csv")
@@ -214,8 +228,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="N quasi-random disk points (offset by --seed)")
     ms.add_argument("--roundtrip", action="store_true", help="append inverse-error column")
     mt = map_sub.add_parser("trace-boundary", parents=[common])
-    mt.add_argument("--t", type=_parse_floats, required=True,
-                    help="comma-separated boundary parameters in (0, 1)")
+    mt.add_argument("--t", required=True, help="comma-separated boundary parameters in (0, 1)",
+                    type=_checked(lambda t: boundary_image_trace([t]), _parse_floats))
 
     p_dist = sub.add_parser("distortion", help="distortion field and growth-envelope fit")
     dist_sub = p_dist.add_subparsers(dest="subcommand", required=True)
@@ -227,7 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
     df.add_argument("--chain", type=_chain_stages, default=None,
                     help="comma list of stages, e.g. f1,f2,f3")
     fb = dist_sub.add_parser("fit-bound", parents=[common])
-    fb.add_argument("--theta", type=_parse_theta, required=True)
+    fb.add_argument("--theta", required=True, type=_checked(
+        lambda theta: fit_growth_envelope([1.0], theta, ProfileParams()), _parse_theta))
     fb.add_argument("--r-min", dest="r_lo", type=float, default=1e-30)
     fb.add_argument("--r-max", dest="r_hi", type=float, default=1e-2)
     fb.add_argument("--n", type=_int_at_least(1), default=29)
@@ -236,12 +251,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_int = sub.add_parser("integrate", parents=[common],
                            help="partial integrals of K^p or exp(lambda K)")
     group = p_int.add_mutually_exclusive_group(required=True)
-    group.add_argument("--kpow", type=float, default=None)
-    group.add_argument("--explambda", type=float, default=None)
+    group.add_argument("--kpow", type=_checked(lambda p: _check_parameter("exponent", p)))
+    group.add_argument("--explambda", type=_checked(lambda lam: _check_parameter("lambda", lam)))
     # the growth classifier needs at least six partial integrals
     p_int.add_argument("--depth", type=_int_at_least(6), default=64,
                        help="dyadic refinement depth")
-    p_int.add_argument("--geometric-depth", type=float, default=None,
+    p_int.add_argument("--geometric-depth", type=_checked(AnnularScheme.geometric), default=None,
                        help="deep log-radius scheme: reach 2^-DEPTH geometrically")
     p_int.add_argument("--steps", type=_int_at_least(6), default=48)
     p_int.add_argument("--chain", type=_chain_stages, default=None)
@@ -255,7 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cg_.add_argument("--annulus", type=float, nargs=2, metavar=("RHO", "R"), required=True)
     cg_.add_argument("--resolution", type=_int_at_least(16), default=512)
     th = cap_sub.add_parser("theorem1", parents=[common])
-    th.add_argument("--t", type=_parse_floats, required=True)
+    th.add_argument("--t", required=True, type=_checked(
+        lambda t: preimage_arc(t, MapChain.default(), 2), _parse_floats))
     th.add_argument("--resolution", type=_int_at_least(16), default=256)
     th.add_argument("--arc-samples", type=_int_at_least(2), default=64)
 
@@ -422,6 +438,17 @@ def main(argv=None) -> int:
         if args.r_hi > 1.0 and MapStage.CUSP in (getattr(args, "chain", None) or (MapStage.CUSP,)):
             parser.error(f"--r-max {args.r_hi} is above 1; with the squeeze (f2) "
                          "the distortion needs r <= 1")
+    # the library's range checks on values that only make sense together
+    key = (args.command, getattr(args, "subcommand", None))
+    try:
+        if key == ("capacity", "test-fn"):
+            _check_test_radii(args.r, args.d)
+        elif key == ("capacity", "grid"):
+            _check_annulus(*args.annulus)
+    except DomainError as exc:
+        parser.error(exc.args[0])
+    if key == ("capacity", "theorem1") and len(set(args.t)) < len(args.t):
+        parser.error("argument --t: a cutoff is listed twice")
 
     dispatch = {
         ("map", "sample"): _cmd_map_sample,
@@ -434,7 +461,6 @@ def main(argv=None) -> int:
         ("capacity", "theorem1"): _cmd_capacity_theorem1,
         ("verify", None): _cmd_verify,
     }
-    key = (args.command, getattr(args, "subcommand", None))
     try:
         return dispatch[key](args)
     except ToolkitError as exc:

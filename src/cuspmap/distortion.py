@@ -28,10 +28,10 @@ from .maps import (
     _TO_HALFPLANE,
     MapChain,
     MapStage,
-    PolarPoint,
     _mobius_values,
     _polar,
     _squeeze_polar,
+    normalize_angle,
 )
 from .profile import ProfileParams, _curves, _scaled_rates
 
@@ -39,8 +39,6 @@ __all__ = [
     "Jacobian2",
     "DistortionSample",
     "EnvelopeFit",
-    "cusp_jacobian",
-    "cusp_jacobian_fd",
     "cusp_jacobian_values",
     "cusp_jacobian_fd_values",
     "op_norm",
@@ -56,18 +54,16 @@ _HALF_PI = math.pi / 2.0
 
 @dataclass(frozen=True)
 class Jacobian2:
-    """2x2 differential in polar-aligned frames at a basepoint."""
+    """2x2 differential in polar-aligned frames."""
 
     a11: float
     a12: float
     a21: float
     a22: float
-    base: PolarPoint
 
 
 @dataclass(frozen=True)
 class DistortionSample:
-    base: PolarPoint
     op_norm: float
     jac_det: float
     K: float
@@ -218,18 +214,6 @@ def cusp_jacobian_fd_values(r, theta, params: ProfileParams, h: float = 1e-7):
             -s * col_r[0] + c * col_r[1], -s * col_t[0] + c * col_t[1])
 
 
-def cusp_jacobian(p: PolarPoint, params: ProfileParams) -> Jacobian2:
-    """The displayed differential matrix of the squeeze at 0 < r <= 1."""
-    entries = cusp_jacobian_values([p.r], [p.theta], params)
-    return Jacobian2(*(float(a[0]) for a in entries), p)
-
-
-def cusp_jacobian_fd(p: PolarPoint, params: ProfileParams, h: float = 1e-7) -> Jacobian2:
-    """cusp_jacobian_fd_values at one point."""
-    entries = cusp_jacobian_fd_values([p.r], [p.theta], params, h)
-    return Jacobian2(*(float(a[0]) for a in entries), p)
-
-
 def op_norm(m: Jacobian2) -> float:
     """Largest singular value, closed form for 2x2."""
     return distortion(m).op_norm
@@ -240,7 +224,7 @@ def distortion(m: Jacobian2) -> DistortionSample:
 
     As in _invariants, the entries are scaled by the power of two 2^s that
     brings the largest into [1/2, 1), so that their squares stay in range
-    (entries of cusp_jacobian grow like 1/(r |log r|)).
+    (entries of the squeeze's matrix grow like 1/(r |log r|)).
     """
     entries = (m.a11, m.a12, m.a21, m.a22)
     s = -math.frexp(max(abs(v) for v in entries))[1]
@@ -248,7 +232,7 @@ def distortion(m: Jacobian2) -> DistortionSample:
         k, norm2, det = _matrix_invariants(*(math.ldexp(v, s) for v in entries))
     regular = det > 0.0 and all(math.isfinite(v) for v in entries)
     with np.errstate(over="ignore"):
-        return DistortionSample(m.base, float(np.ldexp(np.sqrt(norm2), -s)),
+        return DistortionSample(float(np.ldexp(np.sqrt(norm2), -s)),
                                 float(np.ldexp(det, -2 * s)), float(k) if regular else 1.0)
 
 
@@ -303,8 +287,10 @@ def fit_growth_envelope(
     r = np.asarray(r_values, dtype=float)
     if np.any(r <= 0.0) or np.any(r > 1.0):
         raise DomainError("envelope fit needs radii in (0, 1]")
+    if not math.isfinite(theta):
+        raise DomainError(f"envelope fit needs a finite angle, got {theta}")
     logr = np.log(r)
-    theta_n = PolarPoint.from_angle(1.0, theta).theta
+    theta_n = normalize_angle(theta)
     k = distortion_values(logr, np.full(logr.shape, theta_n), params)
     l1 = params.log_cg() - logr
     envelope = l1 * np.log(l1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .maps import MapChain, PlanePoint, mobius_to_disk
+from .maps import _TO_DISK, MapChain
 from .profile import depth, depth_inverse_log
 
 __all__ = [
@@ -45,15 +45,16 @@ def _last_inside(outside, lo: float, hi: float) -> float:
 
 
 def arc_diameter(pts) -> float:
-    """Exact pairwise maximum distance over a sequence of points (O(n^2))."""
-    if not pts:
+    """Exact pairwise maximum distance over an array of complex points (O(n^2))."""
+    z = np.asarray(pts, dtype=complex).ravel()
+    if not z.size:
         raise DomainError("empty arc")
-    xs = np.array([(p.x1, p.x2) for p in pts])
     best = 0.0
     block = 512
-    for i in range(0, len(xs), block):
-        d = xs[i : i + block, None, :] - xs[None, :, :]
-        best = max(best, float(np.sqrt((d * d).sum(axis=2)).max()))
+    for i in range(0, z.size, block):
+        dx = z.real[i : i + block, None] - z.real[None, :]
+        dy = z.imag[i : i + block, None] - z.imag[None, :]
+        best = max(best, float(np.sqrt(dx * dx + dy * dy).max()))
     return best
 
 
@@ -65,22 +66,30 @@ class PreimageArc:
     samples; it underflows to 0 once the arc collapses below the smallest
     subnormal. `log_diameter` is the exact log of the true sample diameter
     4 r_t / (1 + r_t^2), always finite (or -inf past the overflow of
-    exp(1/depth)).
+    exp(1/depth)). Both sample arrays are complex, the upper branch first.
     """
 
     t: float
-    image_samples: tuple
-    samples: tuple
+    image_samples: np.ndarray
+    samples: np.ndarray
     diameter: float
     log_diameter: float
+
+
+def _cusp_image(x1: float) -> complex:
+    """Final-stage image of the cusp-curve point (x1, e^{-1/x1}), by Python's
+    complex division (numpy's can differ in the last bit)."""
+    z = complex(x1, math.exp(-1.0 / x1) if x1 > 1.0 / 700.0 else 0.0)
+    num, den, _ = _TO_DISK
+    return num(z) / den(z)
 
 
 def _image_arc_x1_max(t: float, params) -> float:
     """Largest cusp-curve parameter whose final-stage image has |w| <= t."""
 
     def beyond_t(x1):
-        w = math.exp(-1.0 / x1) if x1 > 1.0 / 700.0 else 0.0
-        return mobius_to_disk(PlanePoint(x1, w)).norm() > t
+        w = _cusp_image(x1)
+        return math.hypot(w.real, w.imag) > t
 
     return _last_inside(beyond_t, 1e-12, depth(1.0, params))
 
@@ -101,27 +110,20 @@ def preimage_arc(t: float, chain: MapChain, n: int) -> PreimageArc:
         raise DomainError("preimage arc needs the full chain (cusp stage missing)")
     params = chain.params
     x1_max = _image_arc_x1_max(t, params)
-    x1 = np.exp(np.linspace(math.log(x1_max) - 60.0 * math.log(2.0), math.log(x1_max), n))
+    x1 = np.exp(np.linspace(math.log(x1_max) - 60.0 * math.log(2.0), math.log(x1_max), n)).tolist()
 
-    image_pts = []
-    source_pts = []
-    log_r_t = -math.inf
-    for sign in (1.0, -1.0):
-        for a in x1:
-            w = math.exp(-1.0 / a) if a > 1.0 / 700.0 else 0.0
-            image_pts.append(mobius_to_disk(PlanePoint(float(a), sign * w)))
-            log_r = depth_inverse_log(float(a), params)
-            log_r_t = max(log_r_t, log_r)
-            r = math.exp(log_r)  # underflows to 0 close to the tip
-            den = 1.0 + r * r
-            source_pts.append(PlanePoint((r * r - 1.0) / den, sign * 2.0 * r / den))
-
-    r_t = math.exp(log_r_t)
-    log_diam = math.log(4.0) + log_r_t - math.log1p(r_t * r_t)
+    image = np.array([_cusp_image(a) for a in x1])
+    # math.exp, not np.exp: the two can differ in the last bit
+    log_r = [depth_inverse_log(a, params) for a in x1]
+    r = np.array([math.exp(v) for v in log_r])  # underflows to 0 close to the tip
+    den = 1.0 + r * r
+    source = (r * r - 1.0) / den + 1j * (2.0 * r / den)
+    samples = np.concatenate([source, source.conj()])
+    r_t = math.exp(max(log_r))
     return PreimageArc(
         t=t,
-        image_samples=tuple(image_pts),
-        samples=tuple(source_pts),
-        diameter=arc_diameter(source_pts),
-        log_diameter=log_diam,
+        image_samples=np.concatenate([image, image.conj()]),
+        samples=samples,
+        diameter=arc_diameter(samples),
+        log_diameter=math.log(4.0) + max(log_r) - math.log1p(r_t * r_t),
     )

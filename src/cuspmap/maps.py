@@ -25,15 +25,9 @@ from .errors import ConvergenceError, DomainError, RangeError
 from .profile import ProfileParams, _curves, _scaled_rates
 
 __all__ = [
-    "PlanePoint",
-    "PolarPoint",
     "MapStage",
     "MapChain",
     "TraceRow",
-    "mobius_to_halfplane",
-    "mobius_to_halfplane_inv",
-    "mobius_to_disk",
-    "mobius_to_disk_inv",
     "inner_angle_map",
     "outer_angle_map",
     "chain_values",
@@ -46,64 +40,17 @@ _HALF_PI = math.pi / 2.0
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class PlanePoint:
-    """Point of the extended plane; one-point compactification via a flag."""
-
-    x1: float
-    x2: float
-    at_infinity: bool = False
-
-    def __post_init__(self):
-        if not self.at_infinity and not (math.isfinite(self.x1) and math.isfinite(self.x2)):
-            raise DomainError(f"non-finite coordinates ({self.x1}, {self.x2}) without infinity flag")
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "PlanePoint":
-        return cls(z.real, z.imag)
-
-    @classmethod
-    def infinity(cls) -> "PlanePoint":
-        return cls(math.inf, math.inf, at_infinity=True)
-
-    def as_complex(self) -> complex:
-        if self.at_infinity:
-            raise DomainError("point at infinity has no complex value")
-        return complex(self.x1, self.x2)
-
-    def norm(self) -> float:
-        return math.inf if self.at_infinity else math.hypot(self.x1, self.x2)
-
-
 def normalize_angle(theta):
-    """Reduce angles into [-pi/2, 3pi/2); a float for a float, else an array."""
+    """Reduce angles into [-pi/2, 3pi/2); a float for a float, else an array.
+
+    The inner sector is the open interval |theta| < pi/2; both seams,
+    theta = +-pi/2, belong to the outer sector.
+    """
     t = np.fmod(np.asarray(theta, dtype=float) + _HALF_PI, _TWO_PI)
     t = np.where(t < 0.0, t + _TWO_PI, t) - _HALF_PI
     # fmod can land exactly on the open end after rounding
     t = np.where(t >= 3.0 * _HALF_PI, -_HALF_PI, t)
     return float(t) if t.ndim == 0 else t
-
-
-@dataclass(frozen=True)
-class PolarPoint:
-    """Polar point, theta normalized to [-pi/2, 3pi/2).
-
-    The inner sector is the open interval |theta| < pi/2; both seams,
-    theta = +-pi/2, belong to the outer sector.
-    """
-
-    r: float
-    theta: float
-
-    def __post_init__(self):
-        if self.r < 0.0 or not math.isfinite(self.r):
-            raise DomainError(f"polar radius must be finite and >= 0, got {self.r}")
-        if not (-_HALF_PI <= self.theta < 3.0 * _HALF_PI):
-            raise DomainError(f"theta {self.theta} not normalized to [-pi/2, 3pi/2)")
-
-    @classmethod
-    def from_angle(cls, r: float, theta: float) -> "PolarPoint":
-        return cls(r, normalize_angle(theta))
 
 
 class MapStage(Enum):
@@ -162,22 +109,13 @@ class MapChain:
 # point at infinity, and the stages write it as inf + inf j.
 _INF = complex(math.inf, math.inf)
 
-# (numerator, denominator, image of infinity) of each Mobius map
+# (numerator, denominator, image of infinity) of each Mobius map:
+# (z+1)/(1-z) takes the unit disk onto the right half plane (-1 -> 0, 1 -> inf),
+# z/(z+1) the right half plane onto B((1/2, 0), 1/2) (inf -> 1)
 _TO_HALFPLANE = (lambda z: z + 1.0, lambda z: 1.0 - z, -1.0)
 _TO_HALFPLANE_INV = (lambda w: w - 1.0, lambda w: w + 1.0, 1.0)
 _TO_DISK = (lambda z: z, lambda z: z + 1.0, 1.0)
 _TO_DISK_INV = (lambda w: w, lambda w: 1.0 - w, -1.0)
-
-
-def _mobius(p: PlanePoint, num, den, at_inf) -> PlanePoint:
-    """Evaluate num(z)/den(z) at one point of the extended plane."""
-    if p.at_infinity:
-        return PlanePoint.from_complex(complex(at_inf))
-    z = p.as_complex()
-    d = den(z)
-    if d == 0:
-        return PlanePoint.infinity()
-    return PlanePoint.from_complex(num(z) / d)
 
 
 def _mobius_values(z, num, den, at_inf):
@@ -186,26 +124,6 @@ def _mobius_values(z, num, den, at_inf):
     with np.errstate(divide="ignore", invalid="ignore"):
         q = num(z) / d
     return np.where(np.isfinite(z), np.where(d == 0, _INF, q), at_inf)
-
-
-def mobius_to_halfplane(p: PlanePoint) -> PlanePoint:
-    """(z+1)/(1-z): unit disk onto the right half plane, -1 -> 0, 1 -> inf."""
-    return _mobius(p, *_TO_HALFPLANE)
-
-
-def mobius_to_halfplane_inv(p: PlanePoint) -> PlanePoint:
-    """(w-1)/(w+1): inverse of mobius_to_halfplane."""
-    return _mobius(p, *_TO_HALFPLANE_INV)
-
-
-def mobius_to_disk(p: PlanePoint) -> PlanePoint:
-    """z/(z+1): right half plane onto the disk B((1/2, 0), 1/2), inf -> 1."""
-    return _mobius(p, *_TO_DISK)
-
-
-def mobius_to_disk_inv(p: PlanePoint) -> PlanePoint:
-    """w/(1-w): inverse of mobius_to_disk."""
-    return _mobius(p, *_TO_DISK_INV)
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +289,7 @@ def boundary_image_trace(t_values) -> list:
     for t in t_values:
         if not (0.0 < t < 1.0):
             raise DomainError(f"trace parameter {t!r} outside (0, 1)")
-        try:
-            y = math.exp(-1.0 / t)
-        except OverflowError:
-            y = 0.0
+        y = math.exp(-1.0 / t)  # underflows to 0 near the tip
         z = complex(t, y) / complex(1.0 + t, y)
         rows.append(TraceRow(t=t, x1=z.real, x2=z.imag, residual=z.real - t))
     return rows

@@ -101,6 +101,8 @@ class AnnularScheme:
     def geometric(cls, max_depth: float, steps: int = 48, annuli_per_step: int = 1,
                   radial_nodes: int = 8, angular_nodes: int = 16) -> "AnnularScheme":
         """Geometrically deepening exponents: reaches 2^-max_depth in `steps`."""
+        if not (1.0 < max_depth < math.inf):
+            raise DomainError(f"geometric depth must be finite and above 1, got {max_depth}")
         ks = -np.geomspace(1.0, max_depth, steps)
         return cls((0.0,) + tuple(ks), annuli_per_step, radial_nodes, angular_nodes)
 
@@ -231,15 +233,18 @@ def _integral_report(kind, parameter, transform, scheme, chain) -> Integrability
     return _report(kind, parameter, scheme, log_increments)
 
 
+def _check_parameter(name: str, value: float) -> None:
+    if not (0.0 < value < math.inf):
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
 def distortion_power_integral(p: float, scheme: AnnularScheme, chain: MapChain) -> IntegrabilityReport:
     """Partial integrals of K^p over shrinking annuli at the singular point."""
-    if not (p > 0.0):
-        raise DomainError(f"exponent must be positive, got {p}")
+    _check_parameter("exponent", p)
     return _integral_report("K^p", p, lambda lk: p * lk, scheme, chain)
 
 
 def distortion_exp_integral(lam: float, scheme: AnnularScheme, chain: MapChain) -> IntegrabilityReport:
     """Partial integrals of exp(lambda K), accumulated in log space."""
-    if not (lam > 0.0):
-        raise DomainError(f"lambda must be positive, got {lam}")
+    _check_parameter("lambda", lam)
     return _integral_report("exp(lambda K)", lam, lambda lk: lam * np.exp(lk), scheme, chain)

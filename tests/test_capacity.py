@@ -25,6 +25,7 @@ from cuspmap import (
 )
 from cuspmap import capacity as capacity_module
 from cuspmap.distortion import chain_distortion_values
+from cuspmap.domains import preimage_arc
 from cuspmap.capacity import (
     Grid2D,
     _log_width_integral,
@@ -493,6 +494,31 @@ def test_tip_experiment_reuses_the_capacity_of_an_unchanged_mask(monkeypatch):
     # the reused value is the one a solve of that row alone gives
     alone = tip_capacity_experiment([0.125], chain, cfg, arc_samples=24)
     assert alone[0].capacity == rows[2].capacity
+
+
+def stamped_by_loop(samples, F, dom, grid):
+    """Reference: the E mask of the tip experiment, one arc sample at a time."""
+    E = np.zeros_like(dom)
+    for z in samples.tolist():
+        i = min(max(int(round((z.real - grid.x0) / grid.h)), 0), grid.nx - 1)
+        j = min(max(int(round((z.imag - grid.y0) / grid.h)), 0), grid.ny - 1)
+        if not dom[i, j]:  # boundary samples: step inward toward the center
+            i += 1 if z.real < 0 else -1
+        if dom[i, j] and not F[i, j]:
+            E[i, j] = True
+    return E
+
+
+@pytest.mark.parametrize("res", [48, 128])
+def test_tip_masks_equal_the_sample_by_sample_stamping(res, monkeypatch):
+    chain = MapChain.default()
+    calls = recorded_solves(monkeypatch)
+    ts = [0.45, 0.25]  # two distinct masks at both resolutions
+    tip_capacity_experiment(ts, chain, GridSolverConfig(resolution=res), arc_samples=24)
+    assert len(calls) == len(ts)
+    for t, ((_, F, E, dom, grid, _), _) in zip(ts, calls):
+        samples = preimage_arc(t, chain, 24).samples
+        assert np.array_equal(E, stamped_by_loop(samples, F, dom, grid))
 
 
 def test_discrete_energy_of_sampled_test_function():

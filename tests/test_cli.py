@@ -331,6 +331,26 @@ def test_malformed_numbers_are_plain_usage_errors(argv, message, capsys):
     assert "invalid" not in err and "_" not in err.split("error:")[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["distortion", "fit-bound", "--theta", "inf"],
+    ["capacity", "theorem1", "--t", "nan"],
+    ["capacity", "theorem1", "--t", "0.7"],
+    ["capacity", "theorem1", "--t", "0.3,0.3"],
+    ["map", "trace-boundary", "--t", "1.5"],
+    ["capacity", "grid", "--annulus", "nan", "1"],
+    ["capacity", "grid", "--annulus", "2", "1"],
+    ["capacity", "grid", "--annulus", "1", "inf"],
+    ["capacity", "test-fn", "--r", "nan", "--d", "1"],
+    ["integrate", "--kpow", "-1"],
+    ["integrate", "--kpow", "inf"],
+    ["integrate", "--explambda", "nan"],
+    ["integrate", "--kpow", "1", "--geometric-depth", "-3"],
+    ["integrate", "--kpow", "1", "--geometric-depth", "0.5"],
+])
+def test_values_out_of_the_library_range_are_usage_errors(argv, capsys):
+    assert usage_exit_code(argv) == 2
+
+
 def test_unknown_chain_stage_is_a_usage_error(capsys):
     assert usage_exit_code(["integrate", "--kpow", "1", "--chain", "f1,f4"]) == 2
     assert "unknown stage token 'f4'" in capsys.readouterr().err
@@ -363,7 +383,9 @@ def test_distortion_field_csv_finite_down_to_1e_300(capsys):
 
 
 def test_numeric_error_exit_code(capsys):
-    code = main(["integrate", "--kpow", "-1"])
+    # t^2 underflows to 0 in the capacity_over_t2 column
+    code = main(["capacity", "theorem1", "--t", "1e-200", "--resolution", "16",
+                 "--arc-samples", "2"])
     assert code == 3
 
 

@@ -1,6 +1,7 @@
 """Distortion: matrix oracles, FD agreement, norms, fields, envelope fit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,20 +10,14 @@ from cuspmap import (
     DomainError,
     MapChain,
     MapStage,
-    PlanePoint,
-    PolarPoint,
     ProfileParams,
     SeamError,
     chain_distortion_values,
-    cusp_jacobian,
-    cusp_jacobian_fd,
     cusp_jacobian_fd_values,
     cusp_jacobian_values,
     distortion,
     distortion_table,
     fit_growth_envelope,
-    mobius_to_halfplane,
-    mobius_to_halfplane_inv,
     op_norm,
 )
 from cuspmap.distortion import Jacobian2, _scaled_entries, distortion_values
@@ -31,7 +26,6 @@ from cuspmap.profile import evaluate
 from cuspmap.verify import halton
 
 PARAMS = ProfileParams()
-BASE = PolarPoint.from_angle(1.0, 0.0)
 
 # mpmath oracle (50 digits), cg = 16
 ORACLE_OUTER_PI = (3.756043644952132860834, 0.0, 94.95275148470697958403)       # (0.01, pi)
@@ -44,12 +38,24 @@ ORACLE_RATIO_1E30_PI = 1.939767298912897578916
 
 
 def matrix(r, theta):
-    return cusp_jacobian(PolarPoint.from_angle(r, theta), PARAMS)
+    """The squeeze's displayed matrix at one point, through the array path."""
+    entries = cusp_jacobian_values([r], [normalize_angle(theta)], PARAMS)
+    return Jacobian2(*(float(a[0]) for a in entries))
 
 
-def chain_k(x: PlanePoint, chain) -> float:
+def fd_matrix(r, theta, h=1e-7):
+    entries = cusp_jacobian_fd_values([r], [normalize_angle(theta)], PARAMS, h)
+    return Jacobian2(*(float(a[0]) for a in entries))
+
+
+def f1_inv(w: complex) -> complex:
+    """The inverse of the first Mobius stage, as a Python complex division."""
+    return (w - 1.0) / (w + 1.0)
+
+
+def chain_k(x: complex, chain) -> float:
     """The chain's K at one source point, through the array path."""
-    return float(chain_distortion_values(x.as_complex(), chain))
+    return float(chain_distortion_values(x, chain))
 
 
 @pytest.mark.parametrize(
@@ -71,9 +77,7 @@ def test_shear_vanishes_on_the_axis_ray():
 
 def test_fd_agreement_inner_and_outer():
     for theta in (1.0, math.pi):
-        p = PolarPoint.from_angle(0.3, theta)
-        a = cusp_jacobian(p, PARAMS)
-        f = cusp_jacobian_fd(p, PARAMS, h=1e-7)
+        a, f = matrix(0.3, theta), fd_matrix(0.3, theta)
         fro = math.sqrt(a.a11**2 + a.a21**2 + a.a22**2)
         dev = max(abs(f.a11 - a.a11), abs(f.a12 - a.a12),
                   abs(f.a21 - a.a21), abs(f.a22 - a.a22)) / fro
@@ -81,11 +85,10 @@ def test_fd_agreement_inner_and_outer():
 
 
 def test_fd_step_refinement_second_order():
-    p = PolarPoint.from_angle(0.3, 1.0)
-    a = cusp_jacobian(p, PARAMS)
+    a = matrix(0.3, 1.0)
 
     def err(h):
-        f = cusp_jacobian_fd(p, PARAMS, h=h)
+        f = fd_matrix(0.3, 1.0, h=h)
         return max(abs(f.a11 - a.a11), abs(f.a21 - a.a21), abs(f.a22 - a.a22))
 
     e3, e4, e5 = err(1e-3), err(1e-4), err(1e-5)
@@ -95,11 +98,11 @@ def test_fd_step_refinement_second_order():
 
 def test_fd_guards():
     with pytest.raises(SeamError):
-        cusp_jacobian_fd(PolarPoint.from_angle(0.5, math.pi / 2 + 1e-9), PARAMS, h=1e-7)
+        fd_matrix(0.5, math.pi / 2 + 1e-9)
     with pytest.raises(SeamError):
-        cusp_jacobian_fd(PolarPoint.from_angle(1.0 - 1e-9, 1.0), PARAMS, h=1e-7)
+        fd_matrix(1.0 - 1e-9, 1.0)
     with pytest.raises(DomainError):
-        cusp_jacobian(PolarPoint.from_angle(1.5, 1.0), PARAMS)
+        matrix(1.5, 1.0)
     # the array forms refuse a whole batch for one bad point
     with pytest.raises(SeamError):
         cusp_jacobian_fd_values([0.5, 0.5], [1.0, math.pi / 2 + 1e-9], PARAMS, h=1e-7)
@@ -137,21 +140,17 @@ def test_array_jacobians_equal_the_point_wrappers():
         analytic = np.column_stack(cusp_jacobian_values(r, theta, PARAMS)).tolist()
         fd = np.column_stack(cusp_jacobian_fd_values(r, theta, PARAMS, h=1e-7)).tolist()
         for ri, ti, a, f in zip(r.tolist(), theta.tolist(), analytic, fd):
-            p = PolarPoint(ri, ti)
-            m, mf = cusp_jacobian(p, PARAMS), cusp_jacobian_fd(p, PARAMS, h=1e-7)
-            assert [m.a11, m.a12, m.a21, m.a22] == a
-            assert [mf.a11, mf.a12, mf.a21, mf.a22] == f
             assert point_jacobians(ri, ti) == (a, f)
 
 
 def test_op_norm_basics():
-    assert op_norm(Jacobian2(1, 0, 0, 1, BASE)) == pytest.approx(1.0)
-    assert op_norm(Jacobian2(3, 0, 0, 2, BASE)) == pytest.approx(3.0)
-    assert op_norm(Jacobian2(0, 0, 1, 0, BASE)) == pytest.approx(1.0)
+    assert op_norm(Jacobian2(1, 0, 0, 1)) == pytest.approx(1.0)
+    assert op_norm(Jacobian2(3, 0, 0, 2)) == pytest.approx(3.0)
+    assert op_norm(Jacobian2(0, 0, 1, 0)) == pytest.approx(1.0)
 
 
 def test_op_norm_against_unit_vector_sweep():
-    m = Jacobian2(0.7, 0.0, -1.3, 2.1, BASE)
+    m = Jacobian2(0.7, 0.0, -1.3, 2.1)
     angles = np.linspace(0.0, 2.0 * math.pi, 10000, endpoint=False)
     stretch = np.hypot(
         m.a11 * np.cos(angles) + m.a12 * np.sin(angles),
@@ -163,25 +162,24 @@ def test_op_norm_against_unit_vector_sweep():
 def test_distortion_conventions():
     # conformal matrices have distortion exactly 1
     for a, b in ((1.0, 0.0), (0.3, -0.7), (2.0, 2.0)):
-        d = distortion(Jacobian2(a, -b, b, a, BASE))
+        d = distortion(Jacobian2(a, -b, b, a))
         assert d.K == pytest.approx(1.0, rel=1e-14)
-    assert distortion(Jacobian2(2, 0, 0, 1, BASE)).K == pytest.approx(2.0)
+    assert distortion(Jacobian2(2, 0, 0, 1)).K == pytest.approx(2.0)
     # degenerate and non-finite matrices take the conventional value 1
-    assert distortion(Jacobian2(1, 0, 0, 0, BASE)).K == 1.0
-    assert distortion(Jacobian2(1, 0, 0, -1, BASE)).K == 1.0
-    assert distortion(Jacobian2(math.inf, 0, 0, 1, BASE)).K == 1.0
+    assert distortion(Jacobian2(1, 0, 0, 0)).K == 1.0
+    assert distortion(Jacobian2(1, 0, 0, -1)).K == 1.0
+    assert distortion(Jacobian2(math.inf, 0, 0, 1)).K == 1.0
 
 
 @pytest.mark.parametrize("r", [1e-100, 1e-300])
 def test_point_distortion_at_deep_radii(r):
     # entries of size 1/(r |log r|) whose squares leave the double range
-    p = PolarPoint.from_angle(r, 0.3)
-    d = distortion(cusp_jacobian(p, PARAMS))
-    op, _, k = distortion_table(math.log(r), p.theta, PARAMS)
-    assert d.K == pytest.approx(float(distortion_values(math.log(r), p.theta, PARAMS)),
-                                rel=1e-12)
+    d = distortion(matrix(r, 0.3))
+    theta = normalize_angle(0.3)
+    op, _, k = distortion_table(math.log(r), theta, PARAMS)
+    assert d.K == pytest.approx(float(distortion_values(math.log(r), theta, PARAMS)), rel=1e-12)
     assert d.op_norm == pytest.approx(float(op), rel=1e-12)
-    assert op_norm(cusp_jacobian(p, PARAMS)) == d.op_norm
+    assert op_norm(matrix(r, 0.3)) == d.op_norm
 
 
 def test_field_bounds_and_sector_comparison():
@@ -239,10 +237,9 @@ def test_monotone_blowup_along_outer_ray():
 
 def test_chain_distortion_matches_squeeze():
     chain = MapChain(PARAMS)
-    p = PolarPoint.from_angle(0.2, 2.5)
-    x = mobius_to_halfplane_inv(PlanePoint(p.r * math.cos(p.theta), p.r * math.sin(p.theta)))
+    x = f1_inv(complex(0.2 * math.cos(2.5), 0.2 * math.sin(2.5)))
     k_chain = chain_k(x, chain)
-    k_squeeze = distortion(cusp_jacobian(p, PARAMS)).K
+    k_squeeze = distortion(matrix(0.2, 2.5)).K
     assert k_chain == pytest.approx(k_squeeze, rel=1e-9)
     # without the squeeze the chain is conformal
     only_mobius = MapChain(PARAMS, (MapStage.DISK_TO_HALFPLANE,))
@@ -252,13 +249,13 @@ def test_chain_distortion_matches_squeeze():
 def test_chain_distortion_center():
     # f1(0) = 1: the chain's distortion at the origin is the squeeze's at (1, 0)
     chain = MapChain(PARAMS)
-    want = distortion(cusp_jacobian(PolarPoint.from_angle(1.0, 0.0), PARAMS)).K
-    assert chain_k(PlanePoint(0.0, 0.0), chain) == pytest.approx(want, rel=1e-12)
+    want = distortion(matrix(1.0, 0.0)).K
+    assert chain_k(0j, chain) == pytest.approx(want, rel=1e-12)
 
 
 def test_chain_distortion_blows_up_toward_the_singular_point():
     chain = MapChain(PARAMS)
-    ks = [chain_k(PlanePoint(-1.0 + 10.0**-k, 0.0), chain) for k in (2, 4, 8, 16)]
+    ks = [chain_k(complex(-1.0 + 10.0**-k, 0.0), chain) for k in (2, 4, 8, 16)]
     assert all(b > a for a, b in zip(ks[:-1], ks[1:]))
 
 
@@ -275,19 +272,20 @@ def test_chain_distortion_values_match_the_scalar_composition():
     one = evaluate(1.0, PARAMS)
     k_values = chain_distortion_values(z, chain)
     worst = {"K": 0.0, "op_norm": 0.0, "jac_det": 0.0}
-    for zi, ki in zip(z, k_values):
-        w = mobius_to_halfplane(PlanePoint(zi.real, zi.imag))
-        p = PolarPoint.from_angle(w.norm(), math.atan2(w.x2, w.x1))
-        if p.r <= 1.0:
-            ref = distortion(cusp_jacobian(p, PARAMS))
-            op, det, k = distortion_table(math.log(p.r), p.theta, PARAMS)
+    for zi, ki in zip(z.tolist(), k_values):
+        w = (zi + 1.0) / (1.0 - zi)
+        r, phi = math.hypot(w.real, w.imag), math.atan2(w.imag, w.real)
+        theta = normalize_angle(phi)
+        if r <= 1.0:
+            ref = distortion(matrix(r, phi))
+            op, det, k = distortion_table(math.log(r), theta, PARAMS)
             assert float(k) == pytest.approx(ki, rel=1e-14)
             got = {"op_norm": float(op), "jac_det": float(det)}
         else:
             tang = (2.0 / math.pi) * one.half_angle
-            tang = tang if abs(p.theta) < math.pi / 2 else 2.0 - tang
+            tang = tang if abs(theta) < math.pi / 2 else 2.0 - tang
             g1 = one.image_radius
-            ref = distortion(Jacobian2(g1, 0.0, 0.0, g1 * tang, p))
+            ref = distortion(Jacobian2(g1, 0.0, 0.0, g1 * tang))
             got = {}
         got["K"] = float(ki)
         for name, value in got.items():
@@ -299,8 +297,8 @@ def test_chain_distortion_values_match_the_scalar_composition():
 def test_chain_distortion_extension_constants():
     # source points outside the preimage of the unit squeeze disk
     chain = MapChain(PARAMS)
-    inner_pt = mobius_to_halfplane_inv(PlanePoint(5.0, 0.0))     # maps to r = 5, theta = 0
-    outer_pt = mobius_to_halfplane_inv(PlanePoint(-5.0, 0.1))    # r > 1, outer sector
+    inner_pt = f1_inv(complex(5.0, 0.0))     # maps to r = 5, theta = 0
+    outer_pt = f1_inv(complex(-5.0, 0.1))    # r > 1, outer sector
     assert chain_k(inner_pt, chain) == pytest.approx(4.456781169540907827252, rel=1e-12)
     assert chain_k(outer_pt, chain) == pytest.approx(1.775622817912998450395, rel=1e-12)
 
@@ -322,3 +320,11 @@ def test_envelope_inner_ray_decays():
     assert not fit.passed  # inner ratios sink through the 0.05 floor
     assert fit.ratios[0] < 0.05
     assert fit.ratios[0] < fit.ratios[-1]  # decaying toward 0 as r -> 0
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_envelope_fit_refuses_a_non_finite_angle(theta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy sees the angle
+        with pytest.raises(DomainError):
+            fit_growth_envelope([1e-3, 1e-2], theta, PARAMS)

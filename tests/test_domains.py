@@ -2,20 +2,23 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from cuspmap import (
     DomainError,
     MapChain,
-    PlanePoint,
+    MapStage,
     arc_diameter,
-    mobius_to_disk,
-    mobius_to_disk_inv,
+    chain_inverse_values,
+    chain_values,
     preimage_arc,
 )
 from cuspmap.domains import _image_arc_x1_max
+from cuspmap.profile import depth_inverse_log
 
 CHAIN = MapChain.default()
+TO_DISK = MapChain(CHAIN.params, (MapStage.HALFPLANE_TO_DISK,))
 
 
 def image_arc(t, n):
@@ -26,8 +29,8 @@ def image_arc(t, n):
 def test_x1_max_solves_the_cutoff_equation():
     for t in (0.05, 0.1, 0.3):
         x = _image_arc_x1_max(t, CHAIN.params)
-        w = mobius_to_disk(PlanePoint(x, math.exp(-1.0 / x)))
-        assert w.norm() == pytest.approx(t, rel=1e-12)
+        w = chain_values(complex(x, math.exp(-1.0 / x)), TO_DISK)
+        assert abs(w) == pytest.approx(t, rel=1e-12)
         # without the width term the cutoff is x1 = t / (1 - t); the relative
         # gap is controlled by the exponentially small width
         assert 0.0 <= (t / (1.0 - t) - x) / x <= math.exp(-2.0 / x) / x**2
@@ -35,11 +38,11 @@ def test_x1_max_solves_the_cutoff_equation():
 
 def test_boundary_arc_construction():
     arc = image_arc(0.1, 64)
-    assert len(arc) == 128
-    x1s = [p.x1 for p in arc[:64]]
-    assert all(b > a for a, b in zip(x1s[:-1], x1s[1:]))
-    for p in arc:
-        assert p.norm() <= 0.1 * (1.0 + 1e-15)
+    assert arc.shape == (128,) and arc.dtype == complex
+    assert np.all(np.diff(arc[:64].real) > 0.0)
+    # the lower branch mirrors the upper one
+    assert np.array_equal(arc[64:], arc[:64].conj())
+    assert np.all(np.abs(arc) <= 0.1 * (1.0 + 1e-15))
     with pytest.raises(DomainError):
         preimage_arc(0.6, CHAIN, 16)
     with pytest.raises(DomainError):
@@ -47,13 +50,14 @@ def test_boundary_arc_construction():
 
 
 def test_arc_diameter_two_points():
-    a, b = PlanePoint(0.0, 0.0), PlanePoint(3.0, 4.0)
-    assert arc_diameter([a, b]) == 5.0
+    assert arc_diameter([0j, 3 + 4j]) == 5.0
+    with pytest.raises(DomainError):
+        arc_diameter([])
 
 
 def _hull_diameter(points):
     """Independent check: rotating-calipers-free hull diameter (O(h^2))."""
-    pts = sorted((p.x1, p.x2) for p in points)
+    pts = sorted((p.real, p.imag) for p in points.tolist())
 
     def half(seq):
         out = []
@@ -76,7 +80,7 @@ def test_arc_diameter_matches_hull_oracle():
     arc = image_arc(0.1, 48)
     assert arc_diameter(arc) == pytest.approx(_hull_diameter(arc), rel=1e-12)
     # realized between the near-tip sample and a branch endpoint
-    assert arc_diameter(arc) == pytest.approx(max(p.norm() for p in arc), rel=1e-6)
+    assert arc_diameter(arc) == pytest.approx(np.max(np.abs(arc)), rel=1e-6)
 
 
 def test_arc_diameter_monotone_in_t():
@@ -98,11 +102,10 @@ def test_membership_consistency_with_arc():
     # whose width underflowed to 0 are axis points at double precision and only
     # meaningful for distances, so they are skipped here
     checked = 0
-    for p in image_arc(0.1, 64):
-        z = mobius_to_disk_inv(p)
-        if z.x2 != 0.0:
-            assert math.log(abs(z.x2)) == pytest.approx(-1.0 / z.x1, rel=1e-9)
-            assert math.log(abs(z.x2) * (1.0 - 1e-6)) < -1.0 / z.x1
+    for z in chain_inverse_values(image_arc(0.1, 64), TO_DISK).tolist():
+        if z.imag != 0.0:
+            assert math.log(abs(z.imag)) == pytest.approx(-1.0 / z.real, rel=1e-9)
+            assert math.log(abs(z.imag) * (1.0 - 1e-6)) < -1.0 / z.real
             checked += 1
     assert checked >= 8
 
@@ -125,11 +128,28 @@ def test_preimage_arc_monotone_and_linear_regime():
     # still representable here: the linear diameter agrees with its log
     assert wide.diameter > 0.0
     assert math.log(wide.diameter) == pytest.approx(wide.log_diameter, abs=1e-6)
-    assert all(math.hypot(p.x1, p.x2) <= 1.0 + 1e-12 for p in wide.samples)
+    assert np.all(np.abs(wide.samples) <= 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("t,n", [(0.4, 320), (0.3, 24), (0.05, 64), (2.0**-9, 24)])
+def test_preimage_arc_equals_the_point_by_point_loop(t, n):
+    # reference: Python complex division for the image, Python float
+    # arithmetic for the source circle points, branch by branch
+    arc = preimage_arc(t, CHAIN, n)
+    x1_max = _image_arc_x1_max(t, CHAIN.params)
+    x1 = np.exp(np.linspace(math.log(x1_max) - 60.0 * math.log(2.0), math.log(x1_max), n))
+    image, source = [], []
+    for sign in (1.0, -1.0):
+        for a in x1.tolist():
+            w = sign * (math.exp(-1.0 / a) if a > 1.0 / 700.0 else 0.0)
+            image.append(complex(a, w) / complex(a + 1.0, w))
+            r = math.exp(depth_inverse_log(a, CHAIN.params))
+            den = 1.0 + r * r
+            source.append(complex((r * r - 1.0) / den, sign * 2.0 * r / den))
+    assert arc.image_samples.tolist() == image
+    assert arc.samples.tolist() == source
 
 
 def test_preimage_arc_needs_full_chain():
-    from cuspmap import MapStage, ProfileParams
-
     with pytest.raises(DomainError):
-        preimage_arc(0.1, MapChain(ProfileParams(), (MapStage.DISK_TO_HALFPLANE,)), 16)
+        preimage_arc(0.1, MapChain(CHAIN.params, (MapStage.DISK_TO_HALFPLANE,)), 16)

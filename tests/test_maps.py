@@ -9,29 +9,31 @@ from cuspmap import (
     DomainError,
     MapChain,
     MapStage,
-    PlanePoint,
-    PolarPoint,
     ProfileParams,
     RangeError,
     boundary_image_trace,
     chain_inverse_values,
     chain_values,
-    mobius_to_disk,
-    mobius_to_disk_inv,
-    mobius_to_halfplane,
-    mobius_to_halfplane_inv,
 )
-from cuspmap.maps import fit_tip_curvature, inner_angle_map, outer_angle_map
+from cuspmap.maps import fit_tip_curvature, inner_angle_map, normalize_angle, outer_angle_map
 from cuspmap.profile import evaluate
 from cuspmap.verify import halton
 
 PARAMS = ProfileParams()
 CHAIN = MapChain(PARAMS)
 SQUEEZE = MapChain(PARAMS, (MapStage.CUSP,))
+TO_HALFPLANE = MapChain(PARAMS, (MapStage.DISK_TO_HALFPLANE,))
+TO_DISK = MapChain(PARAMS, (MapStage.HALFPLANE_TO_DISK,))
+INF = complex(math.inf, math.inf)
 
 
-def pt(z: complex) -> PlanePoint:
-    return PlanePoint.from_complex(z)
+def stage(chain, z: complex) -> complex:
+    """A one-stage chain at one point."""
+    return complex(chain_values(z, chain))
+
+
+def stage_inv(chain, w: complex) -> complex:
+    return complex(chain_inverse_values(w, chain))
 
 
 def squeeze(r: float, theta: float) -> complex:
@@ -42,59 +44,60 @@ def squeeze(r: float, theta: float) -> complex:
 def squeeze_inv(w: complex):
     """(r, normalized theta) of the inverse squeeze at w, through the array path."""
     z = complex(chain_inverse_values(w, SQUEEZE))
-    p = PolarPoint.from_angle(abs(z), math.atan2(z.imag, z.real))
-    return p.r, p.theta
+    return abs(z), normalize_angle(math.atan2(z.imag, z.real))
 
 
 def test_mobius_to_halfplane_special_values():
-    assert mobius_to_halfplane(pt(0)).as_complex() == 1.0
-    assert mobius_to_halfplane(pt(-1)).as_complex() == 0.0
-    assert mobius_to_halfplane(pt(1j)).as_complex() == pytest.approx(1j, abs=1e-15)
-    assert mobius_to_halfplane(pt(1)).at_infinity
-    assert mobius_to_halfplane(PlanePoint.infinity()).as_complex() == -1.0
+    assert stage(TO_HALFPLANE, 0) == 1.0
+    assert stage(TO_HALFPLANE, -1) == 0.0
+    assert stage(TO_HALFPLANE, 1j) == pytest.approx(1j, abs=1e-15)
+    assert not np.isfinite(stage(TO_HALFPLANE, 1))  # the pole goes to infinity
+    assert stage(TO_HALFPLANE, INF) == -1.0
 
 
 def test_mobius_to_halfplane_inverse():
-    assert mobius_to_halfplane_inv(pt(1)).as_complex() == 0.0
-    assert mobius_to_halfplane_inv(pt(0)).as_complex() == -1.0
-    assert mobius_to_halfplane_inv(pt(1j)).as_complex() == pytest.approx(1j, abs=1e-15)
-    for z in (0.3 + 0.2j, -0.5j, 2.0 + 1.0j):
-        w = mobius_to_halfplane(pt(z))
-        back = mobius_to_halfplane_inv(w)
-        assert abs(back.as_complex() - z) <= 1e-14
+    assert stage_inv(TO_HALFPLANE, 1) == 0.0
+    assert stage_inv(TO_HALFPLANE, 0) == -1.0
+    assert stage_inv(TO_HALFPLANE, 1j) == pytest.approx(1j, abs=1e-15)
+    assert stage_inv(TO_HALFPLANE, INF) == 1.0
+    z = np.array([0.3 + 0.2j, -0.5j, 2.0 + 1.0j])
+    back = chain_inverse_values(chain_values(z, TO_HALFPLANE), TO_HALFPLANE)
+    assert np.all(np.abs(back - z) <= 1e-14)
 
 
 def test_mobius_to_disk_special_values():
-    assert mobius_to_disk(pt(0)).as_complex() == 0.0
-    assert mobius_to_disk(pt(1)).as_complex() == 0.5
-    assert mobius_to_disk(PlanePoint.infinity()).as_complex() == 1.0
+    assert stage(TO_DISK, 0) == 0.0
+    assert stage(TO_DISK, 1) == 0.5
+    assert stage(TO_DISK, INF) == 1.0
+    assert not np.isfinite(stage(TO_DISK, -1))  # the pole goes to infinity
     # the right half plane lands in B((1/2, 0), 1/2)
-    for z in (0.1 + 5j, 3.0 - 0.2j, 0.01 + 0j):
-        w = mobius_to_disk(pt(z)).as_complex()
-        assert abs(w - 0.5) < 0.5 + 1e-15
+    w = chain_values([0.1 + 5j, 3.0 - 0.2j, 0.01 + 0j], TO_DISK)
+    assert np.all(np.abs(w - 0.5) < 0.5 + 1e-15)
 
 
 def test_mobius_to_disk_round_trip():
-    for z in (0.2 + 0.1j, 1.5 - 2j, 0.7j):
-        w = mobius_to_disk(pt(z))
-        assert abs(mobius_to_disk_inv(w).as_complex() - z) <= 1e-14 * max(1.0, abs(z))
+    z = np.array([0.2 + 0.1j, 1.5 - 2j, 0.7j])
+    back = chain_inverse_values(chain_values(z, TO_DISK), TO_DISK)
+    assert np.all(np.abs(back - z) <= 1e-14 * np.maximum(1.0, np.abs(z)))
+    assert stage_inv(TO_DISK, INF) == -1.0
 
 
 def test_polar_normalization_and_sectors():
     # angles land in [-pi/2, 3pi/2): the inner sector is |theta| < pi/2, and
     # both seams stay on the outer sector's closed interval [pi/2, 3pi/2]
-    inner = PolarPoint.from_angle(1.0, 0.3).theta
+    inner = normalize_angle(0.3)
     assert inner == pytest.approx(0.3) and abs(inner) < math.pi / 2
     for seam in (math.pi / 2, -math.pi / 2):
-        theta = PolarPoint.from_angle(1.0, seam).theta
+        theta = normalize_angle(seam)
         assert theta == pytest.approx(seam) and not abs(theta) < math.pi / 2
-    assert PolarPoint.from_angle(1.0, 3 * math.pi / 2).theta == pytest.approx(-math.pi / 2)
-    assert PolarPoint.from_angle(1.0, 2 * math.pi).theta == pytest.approx(0.0)
-    assert PolarPoint.from_angle(1.0, -2.0).theta == pytest.approx(2 * math.pi - 2.0)
-    with pytest.raises(DomainError):
-        PolarPoint(1.0, 3 * math.pi / 2)
-    with pytest.raises(DomainError):
-        PolarPoint(-1.0, 0.0)
+    assert normalize_angle(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
+    assert normalize_angle(2 * math.pi) == pytest.approx(0.0)
+    assert normalize_angle(-2.0) == pytest.approx(2 * math.pi - 2.0)
+    # arrays reduce entrywise, into the half-open range
+    thetas = np.linspace(-10.0, 10.0, 1001)
+    reduced = normalize_angle(thetas)
+    assert np.all((-math.pi / 2 <= reduced) & (reduced < 3 * math.pi / 2))
+    assert np.allclose(np.exp(1j * reduced), np.exp(1j * thetas), atol=1e-12)
 
 
 def test_cusp_map_axis_ray():
