@@ -17,7 +17,10 @@ Three layers:
     only the preconditioner, a multigrid V-cycle, runs in float32, on flat
     contiguous levels padded to even sides. Its rounding can cost CG an
     iteration or two, but not accuracy. Each product is one pass of numpy's
-    einsum, never BLAS, so the bits do not depend on the thread count.
+    einsum, never BLAS, so the bits do not depend on the thread count. A
+    condenser that is its own mirror image along a grid axis is solved on
+    one half of that axis: the annulus on a quarter grid, the tip condenser
+    on a half grid.
 """
 
 from __future__ import annotations
@@ -85,13 +88,21 @@ def _log_width_integral(a: float, b: float) -> float:
 
     Substituting s = 1/t gives int e^s / s^2 ds over [1/b, 1/a]; panels of
     bounded width in s with Gauss nodes keep the exponential tame, and the
-    panel contributions combine by log-sum-exp.
+    panel contributions combine by log-sum-exp. Only the panels that reach
+    above s_hi - 800 - 2 log(s_hi / s_lo) are built: below that, each term
+    is e^-750 or less of the largest and adds exactly 0 to the sum. The edges
+    are those of np.linspace over all panels, so the cost stays bounded as
+    a -> 0.
     """
     if not (0.0 < a < b):
         raise DomainError(f"need 0 < a < b, got ({a}, {b})")
     s_lo, s_hi = 1.0 / b, 1.0 / a
     panels = max(8, int(math.ceil((s_hi - s_lo) / 4.0)))
-    edges = np.linspace(s_lo, s_hi, panels + 1)
+    step = (s_hi - s_lo) / panels
+    cut = s_hi - 800.0 - 2.0 * math.log(s_hi / s_lo)
+    first = min(max(int((cut - s_lo) / step) - 1, 0), panels - 1)
+    edges = np.arange(first, panels + 1) * step + s_lo
+    edges[-1] = s_hi
     lo, hi = edges[:-1], edges[1:]
     xg, wg = gauss_legendre(16)
     s = 0.5 * (hi - lo)[:, None] * (xg + 1.0) + lo[:, None]
@@ -425,11 +436,25 @@ def _precondition(levels, k=0):
     return x
 
 
-def _pcg(fine, r, cfg: GridSolverConfig):
+def _norm(r, lines):
+    """sqrt(sum_i 2^k_i r_i^2), k_i the number of mirror `lines` through node i.
+
+    `lines` are slices of the flat level; a node on two lines takes a third
+    slice of its own, so that it counts 1 + 1 + 1 + 1 times. Without lines
+    this is the plain 2-norm.
+    """
+    total = _dot(r, r)
+    for line in lines:
+        total += _dot(r[line], r[line])
+    return math.sqrt(total)
+
+
+def _pcg(fine, r, cfg: GridSolverConfig, lines=()):
     """CG in float64 on the finest level from u = 0, preconditioned by the V-cycle.
 
     r holds b on entry and the recurrence residual b - A u on exit; the loop
-    stops when ||r|| <= cfg.tolerance ||b||. Each step casts r into the
+    stops when ||r|| <= cfg.tolerance ||b||, both norms weighted by `_norm`
+    over the mirror `lines` of a folded grid. Each step casts r into the
     float32 V-cycle and adds its output z into the float64 p, so the
     preconditioner's rounding changes the iteration count, not the solution.
     Returns u, the iteration count and ||b||.
@@ -444,7 +469,7 @@ def _pcg(fine, r, cfg: GridSolverConfig):
     ap = np.empty_like(r)
     p = precondition().astype(r.dtype)
     rz = _dot(r, p)
-    b_norm = r_norm = math.sqrt(_dot(r, r))
+    b_norm = r_norm = _norm(r, lines)
     threshold = cfg.tolerance * max(b_norm, 1e-300)
     iterations = 0
     while r_norm > threshold:
@@ -463,9 +488,45 @@ def _pcg(fine, r, cfg: GridSolverConfig):
         p *= rz_new / rz
         p += z
         rz = rz_new
-        r_norm = math.sqrt(_dot(r, r))
+        r_norm = _norm(r, lines)
         iterations += 1
     return u, iterations, b_norm
+
+
+_FLIPS = ((slice(None, None, -1),), (slice(None), slice(None, None, -1)))
+
+
+def _mirror_axes(F, E, dom, wx, wy):
+    """The grid axes along which the condenser is its own mirror image.
+
+    F, E and dom must equal their mirror images, and so must the weights of
+    the kept edges, those with both ends in dom; the others never enter the
+    problem.
+    """
+    kept = (dom[:-1, :] & dom[1:, :], dom[:, :-1] & dom[:, 1:])
+    return [axis for axis, flip in enumerate(_FLIPS)
+            if all(np.array_equal(a, a[flip]) for a in (F, E, dom))
+            and all(np.all((w == w[flip]) | ~k) for w, k in zip((wx, wy), kept))]
+
+
+def _fold(F, E, dom, wx, wy, axis):
+    """The first half of a condenser that is mirror-symmetric along `axis`.
+
+    The folded energy is half the full one. An odd side 2m + 1 keeps nodes
+    0..m: node m lies on the mirror line, and the edges along the line, each
+    its own mirror image, carry half their weight. An even side 2m keeps
+    nodes 0..m-1 and drops the edges across the line, which join a node to
+    its mirror image: the symmetric solution puts no energy on them.
+    """
+    if axis == 1:
+        F, E, dom, wy, wx = _fold(F.T, E.T, dom.T, wy.T, wx.T, 0)
+        return F.T, E.T, dom.T, wx.T, wy.T
+    n = F.shape[0]
+    keep = (n + 1) // 2
+    wy = np.array(wy[:keep], float)
+    if n % 2:
+        wy[-1] *= 0.5
+    return F[:keep], E[:keep], dom[:keep], wx[: keep - 1], wy
 
 
 def grid_capacity(weight, F_mask, E_mask, domain_mask, grid: Grid2D,
@@ -482,6 +543,14 @@ def grid_capacity(weight, F_mask, E_mask, domain_mask, grid: Grid2D,
     the final relative residual ||b - A u|| / ||b||, recomputed from u. In two
     dimensions the grid spacing cancels: the energy is a plain weighted sum
     of squared differences.
+
+    Along each axis where F, E, the domain and the kept edge weights equal
+    their mirror images, the solution is symmetric too, and the problem is
+    folded onto the first half of the axis (see `_fold`); the energy is then
+    2^folds times the folded one, exactly. The stopping test and `residual`
+    stay those of the mirrored solution on the full grid: a node on k mirror
+    lines counts 2^k times in ||r|| and ||b||, since its folded row is 2^-k
+    times its full one. Other inputs are solved on the full grid.
     """
     F = np.asarray(F_mask, bool)
     E = np.asarray(E_mask, bool)
@@ -502,22 +571,32 @@ def grid_capacity(weight, F_mask, E_mask, domain_mask, grid: Grid2D,
     if not all(w.min(initial=0.0) >= 0.0 and math.isfinite(w.max(initial=0.0)) for w in (wx, wy)):
         raise MaskError("weight must be finite and nonnegative on the grid")
 
+    axes = _mirror_axes(F, E, dom, wx, wy)
+    for axis in axes:
+        F, E, dom, wx, wy = _fold(F, E, dom, wx, wy, axis)
     # every edge from a free node ends in the domain, as do the plates
     fine, (gidx, to_f, to_e, fixed_energy), scale = _fine_level(wx, wy, F, E, dom & ~F & ~E)
     del wx, wy  # for the unweighted problem, the last references to two grid arrays
+    # the mirror lines of folded odd sides: the last row and the last column
+    (nx, ny), n1 = F.shape, fine.shape[1]
+    lines = [(slice((nx - 1) * n1, nx * n1), slice(ny - 1, None, n1))[axis]
+             for axis in axes if (grid.nx, grid.ny)[axis] % 2]
+    if len(lines) == 2:  # their crossing counts four times
+        lines.append(slice((nx - 1) * n1 + ny - 1, (nx - 1) * n1 + ny))
     r = np.zeros(fine.wx.size)
     r[gidx] = to_e
-    u, iterations, b_norm = _pcg(fine, r, cfg)
+    u, iterations, b_norm = _pcg(fine, r, cfg, lines)
     # b - A u; rows of nodes without unknowns are 0
     r = fine.apply(u, r)
     r[gidx] -= to_e
-    residual = math.sqrt(_dot(r, r)) / max(b_norm, 1e-300)
+    residual = _norm(r, lines) / max(b_norm, 1e-300)
     del r
     # edges between free nodes, then from free nodes to F (u = 0) and E (u = 1)
-    n1, ug = fine.shape[1], u[gidx]
+    ug = u[gidx]
     energy = float(np.sum(fine.wy[:-1] * np.square(u[1:] - u[:-1]))
                    + np.sum(fine.wx[:-n1] * np.square(u[n1:] - u[:-n1]))
                    + np.sum(to_f * ug**2) + np.sum(to_e * (1.0 - ug) ** 2) + fixed_energy) / scale
+    energy = math.ldexp(energy, len(axes))  # each fold halved the energy
     return CapacityEstimate(
         value=energy,
         method=CapacityMethod.GRID_SOLVE,

@@ -100,9 +100,14 @@ class AnnularScheme:
     @classmethod
     def geometric(cls, max_depth: float, steps: int = 48, annuli_per_step: int = 1,
                   radial_nodes: int = 8, angular_nodes: int = 16) -> "AnnularScheme":
-        """Geometrically deepening exponents: reaches 2^-max_depth in `steps`."""
-        if not (1.0 < max_depth < math.inf):
-            raise DomainError(f"geometric depth must be finite and above 1, got {max_depth}")
+        """Geometrically deepening exponents: reaches 2^-max_depth in `steps`.
+
+        The deepest log-radius, -max_depth ln 2, may not pass -1e300, where
+        `distortion_values` stops being finite.
+        """
+        if not (1.0 < max_depth and max_depth * math.log(2.0) <= 1e300):
+            raise DomainError(
+                f"geometric depth must be above 1 with depth * ln 2 <= 1e300, got {max_depth}")
         ks = -np.geomspace(1.0, max_depth, steps)
         return cls((0.0,) + tuple(ks), annuli_per_step, radial_nodes, angular_nodes)
 

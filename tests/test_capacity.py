@@ -123,6 +123,19 @@ def test_log_width_integral_equals_the_per_panel_loop(a, b):
     assert _log_width_integral(a, b) == per_panel_log_width_integral(a, b)
 
 
+def test_log_width_integral_builds_only_the_panels_that_count():
+    # 2.5e7 panels span [2, 1e8]; those far below 1e8 add exactly 0 to the sum
+    tracemalloc.start()
+    try:
+        est = cusp_test_energy(1e-8, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
+    # int e^s / s^2 ds up to S = 1e8 is e^S / S^2 (1 + 2 / S + ...)
+    assert est.log_value == pytest.approx(-(1e8 - 2.0 * math.log(1e8)), rel=0.0, abs=1e-6)
+
+
 def test_grid_capacity_annulus_low_resolution():
     exact = 2.0 * math.pi / math.log(4.0)
     errs = []
@@ -265,6 +278,136 @@ def test_preconditioned_solver_matches_plain_cg_on_rectangular_grids(nx, ny):
     reference = reference_cg_energy(wx, wy, F, E, dom)
     assert abs(cap.value - reference) <= 1e-9 * reference
     assert cap.iterations <= 18  # a float64 V-cycle over the same aggregates takes 15
+
+
+def mirrored_condenser(nx, ny, even_in_x=True, even_in_y=True):
+    """An elliptic condenser centred on an nx x ny grid; it is its own mirror
+    image along each axis in which the weight is even. An odd side puts plate
+    nodes, ground nodes and an F-E edge on each end of F on its middle line;
+    F is a ring, so free nodes lie on both middle lines and at their crossing."""
+    h = 1.0 / 32.0
+    grid = Grid2D(x0=-h * (nx - 1) / 2.0, y0=-h * (ny - 1) / 2.0, h=h, nx=nx, ny=ny)
+    X, Y = grid.nodes()
+    rr = np.hypot(X / (h * nx / 2.0), Y / (h * ny / 2.0))
+    dom = rr <= 1.0
+    F, E = (rr > 0.12) & (rr <= 0.3), dom & (rr >= 0.85)
+    if nx % 2:
+        j = np.flatnonzero(F[nx // 2])
+        E[nx // 2, [j.min() - 1, j.max() + 1]] = True
+    if ny % 2:
+        i = np.flatnonzero(F[:, ny // 2])
+        E[[i.min() - 1, i.max() + 1], ny // 2] = True
+
+    def weight(x, y):
+        w = 1.0 / (1.0 + x * x + 2.0 * y * y)
+        return w * (1.0 if even_in_x else 1.0 + 0.25 * x) * (1.0 if even_in_y else 1.0 + 0.25 * y)
+
+    return grid, weight, F, E, dom
+
+
+MIRRORED = [  # nx, ny, even in x, even in y, the axes that fold
+    (41, 51, True, True, [0, 1]),
+    (40, 52, True, True, [0, 1]),
+    (41, 52, True, True, [0, 1]),
+    (41, 52, True, False, [0]),
+    (40, 51, True, False, [0]),
+    (40, 51, False, True, [1]),
+]
+
+
+def recorded_pcg(monkeypatch):
+    """Replace _pcg by a wrapper that records the fine level and the solution."""
+    calls = []
+    pcg = capacity_module._pcg
+
+    def recording(fine, r, cfg, lines=()):
+        u, iterations, b_norm = pcg(fine, r, cfg, lines)
+        calls.append((fine, u.copy()))
+        return u, iterations, b_norm
+
+    monkeypatch.setattr(capacity_module, "_pcg", recording)
+    return calls
+
+
+def unfolded(u, shape, axes):
+    """A folded solution mirrored back onto the full grid of `shape`."""
+    for axis in axes:
+        n = shape[axis]
+        u = np.concatenate([u, np.flip(u, axis)[(slice(None),) * axis + (slice(n % 2, None),)]],
+                           axis=axis)
+    return u
+
+
+@pytest.mark.parametrize("nx,ny,even_x,even_y,axes", MIRRORED)
+def test_folded_solve_matches_plain_cg_on_mirrored_condensers(nx, ny, even_x, even_y, axes,
+                                                             monkeypatch):
+    grid, weight, F, E, dom = mirrored_condenser(nx, ny, even_x, even_y)
+    wx, wy = capacity_module._edge_midpoint_weights(grid, weight)
+    assert capacity_module._mirror_axes(F, E, dom, wx, wy) == axes
+    calls = recorded_pcg(monkeypatch)
+    cap = grid_capacity(weight, F, E, dom, grid, GridSolverConfig(resolution=32))
+    (fine, u), = calls
+    half = [(n + 1) // 2 if a in axes else n for a, n in enumerate((nx, ny))]
+    assert fine.shape == tuple(n + n % 2 for n in half)
+    reference = reference_cg_energy(wx, wy, F, E, dom)
+    assert abs(cap.value - reference) <= 1e-9 * reference
+    # the reported residual is that of the mirrored solution on the full grid
+    full = unfolded(u.reshape(fine.shape)[: half[0], : half[1]], (nx, ny), axes)
+    full = np.where(E, 1.0, np.where(F, 0.0, full))
+    kx, ky = wx * (dom[:-1, :] & dom[1:, :]), wy * (dom[:, :-1] & dom[:, 1:])
+    free = dom & ~F & ~E
+    # b - A u at the free nodes: sum_j w_ij (u_j - u_i) over all neighbours
+    r = weight_to(kx, ky, np.ones_like(dom)) * -full
+    r[:-1, :] += kx * full[1:, :]
+    r[1:, :] += kx * full[:-1, :]
+    r[:, :-1] += ky * full[:, 1:]
+    r[:, 1:] += ky * full[:, :-1]
+    b = weight_to(kx, ky, E)
+    want = math.sqrt(np.sum(r[free] ** 2) / np.sum(b[free] ** 2))
+    assert cap.residual == pytest.approx(want, rel=1e-6, abs=0.0)
+    assert 0.0 < cap.residual <= 1e-8
+
+
+def test_fold_guard_for_the_program_condensers(monkeypatch):
+    # the annulus folds along both axes, the tip condensers of 128 and 256
+    # cells per unit only across the real axis: a change that breaks the
+    # mirror symmetry of K or of the masks must show here
+    grid, F, E, dom = annulus_condenser(0.25, 1.0, 128)
+    ones = (np.ones((grid.nx - 1, grid.ny)), np.ones((grid.nx, grid.ny - 1)))
+    assert capacity_module._mirror_axes(F, E, dom, *ones) == [0, 1]
+    calls = []
+
+    def record(weight, F, E, dom, grid, cfg):
+        calls.append((grid.nx, capacity_module._mirror_axes(F, E, dom, *weight)))
+        return capacity_module.CapacityEstimate(1.0, capacity_module.CapacityMethod.GRID_SOLVE)
+
+    monkeypatch.setattr(capacity_module, "grid_capacity", record)
+    for res in (128, 256):
+        tip_capacity_experiment([0.45, 0.3, 0.125], MapChain.default(),
+                                GridSolverConfig(resolution=res))
+    assert calls == [(257, [1]), (257, [1]), (513, [1]), (513, [1])]
+
+
+ASYMMETRIC_SOLVES = {  # value.hex(), iterations, residual.hex() of the full-grid solver
+    (41, 64): ("0x1.ce5b34515fef2p+2", 15, "0x1.511a86bcb84c4p-28"),
+    (64, 41): ("0x1.fd87ba571b51dp+2", 15, "0x1.c4dde72410252p-28"),
+    (37, 51): ("0x1.fca66ca1554d1p+2", 15, "0x1.d43b7b78e87d5p-28"),
+    "tip48": ("0x1.f804edfd0967dp-1", 18, "0x1.0dd1f32639dd6p-27"),
+}
+
+
+def test_solves_without_symmetry_are_bit_identical_to_the_unfolded_solver(monkeypatch):
+    got = {}
+    for nx, ny in [(41, 64), (64, 41), (37, 51)]:
+        grid, weight, F, E, dom = rectangular_condenser(nx, ny)
+        got[nx, ny] = grid_capacity(weight, F, E, dom, grid, GridSolverConfig(resolution=32))
+    calls = recorded_solves(monkeypatch)
+    tip_capacity_experiment([0.45], MapChain.default(), GridSolverConfig(resolution=48),
+                            arc_samples=24)
+    ((weights, F, E, dom, _, _), got["tip48"]), = calls
+    assert capacity_module._mirror_axes(F, E, dom, *weights) == []
+    assert {k: (c.value.hex(), c.iterations, c.residual.hex())
+            for k, c in got.items()} == ASYMMETRIC_SOLVES
 
 
 def weight_to(wx, wy, mask):

@@ -346,6 +346,7 @@ def test_malformed_numbers_are_plain_usage_errors(argv, message, capsys):
     ["integrate", "--explambda", "nan"],
     ["integrate", "--kpow", "1", "--geometric-depth", "-3"],
     ["integrate", "--kpow", "1", "--geometric-depth", "0.5"],
+    ["integrate", "--kpow", "1", "--geometric-depth", "1e308"],
 ])
 def test_values_out_of_the_library_range_are_usage_errors(argv, capsys):
     assert usage_exit_code(argv) == 2

@@ -197,6 +197,17 @@ def test_exp_integral_divergence_in_deep_log_schemes():
     assert distortion_exp_integral(1.0, deep, CHAIN).verdict is Verdict.DIVERGENT
 
 
+def test_geometric_depth_stops_where_distortion_values_stay_finite():
+    # the deepest log-radius -depth ln 2 may reach -1e300, not beyond
+    deepest = AnnularScheme.geometric(1e300 / math.log(2.0), steps=6)
+    assert deepest.log2_eps[-1] * math.log(2.0) >= -1e300
+    rep = distortion_power_integral(1.0, deepest, CHAIN)
+    assert all(math.isfinite(v) for v in rep.log_partials)
+    for depth in (1e308, 2e300):
+        with pytest.raises(DomainError, match="depth"):
+            AnnularScheme.geometric(depth)
+
+
 def test_conformal_chain_power_integral_gives_disk_area():
     rep = distortion_power_integral(2.0, AnnularScheme.dyadic(12), CONFORMAL)
     assert rep.verdict is Verdict.CONVERGENT
