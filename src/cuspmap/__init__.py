@@ -43,7 +43,9 @@ from .quadrature import (
     IntegrabilityReport,
     Verdict,
     distortion_exp_integral,
+    distortion_exp_integrals,
     distortion_power_integral,
+    distortion_power_integrals,
 )
 from .capacity import (
     CapacityEstimate,

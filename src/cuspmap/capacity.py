@@ -92,11 +92,21 @@ def _log_width_integral(a: float, b: float) -> float:
     above s_hi - 800 - 2 log(s_hi / s_lo) are built: below that, each term
     is e^-750 or less of the largest and adds exactly 0 to the sum. The edges
     are those of np.linspace over all panels, so the cost stays bounded as
-    a -> 0.
+    a -> 0; edges that round onto each other bound no panel.
+
+    The integral is e^S / S^2 (1 + 2/S + ...) - (the same at s_lo) with
+    S = s_hi, so from S = 2^52 on, where 2/S is far below half an ulp of S,
+    and with s_lo at least 64 below S, its log is S - 2 log S to double
+    precision.
     """
     if not (0.0 < a < b):
         raise DomainError(f"need 0 < a < b, got ({a}, {b})")
     s_lo, s_hi = 1.0 / b, 1.0 / a
+    if not s_lo < s_hi:
+        raise DomainError(f"1/a and 1/b round to the same double for a={a}, b={b}")
+    if s_hi >= 2.0**52 and s_hi - s_lo >= 64.0:
+        # s_hi is inf for a below 1 / DBL_MAX, and so is the log
+        return s_hi - 2.0 * math.log(s_hi) if s_hi < math.inf else math.inf
     panels = max(8, int(math.ceil((s_hi - s_lo) / 4.0)))
     step = (s_hi - s_lo) / panels
     cut = s_hi - 800.0 - 2.0 * math.log(s_hi / s_lo)
@@ -104,6 +114,8 @@ def _log_width_integral(a: float, b: float) -> float:
     edges = np.arange(first, panels + 1) * step + s_lo
     edges[-1] = s_hi
     lo, hi = edges[:-1], edges[1:]
+    keep = hi > lo
+    lo, hi = lo[keep], hi[keep]
     xg, wg = gauss_legendre(16)
     s = 0.5 * (hi - lo)[:, None] * (xg + 1.0) + lo[:, None]
     # math.log, not np.log: the two can differ in the last bit

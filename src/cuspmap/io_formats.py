@@ -30,11 +30,29 @@ def _cell(v) -> str:
     return str(v)
 
 
+# %-conversions that write the same bytes as _cell for cells of exactly
+# these types; rows holding any other type (bool, for one) go through _cell
+_CONVERSIONS = {float: "%.17g", np.float64: "%.17g", int: "%d", np.int64: "%d", str: "%s"}
+
+
 def csv_text(header, rows) -> str:
+    """CSV text of a header and rows: row sequences, or a 2-D float ndarray
+    (written as its .tolist() would be)."""
+    if isinstance(rows, np.ndarray):
+        if rows.dtype == np.float64 and rows.ndim == 2 and rows.size:
+            line = "\n" + ",".join(["%.17g"] * rows.shape[1])
+            return ",".join(header) + (line * len(rows)) % tuple(rows.ravel().tolist()) + "\n"
+        rows = rows.tolist()
     lines = [",".join(header)]
-    # float cells, the bulk of every table, skip _cell's type dispatch
-    lines.extend(",".join([format(v, ".17g") if type(v) is float else _cell(v) for v in row])
-                 for row in rows)
+    templates = {}
+    for row in rows:
+        types = tuple(map(type, row))
+        if types not in templates:
+            conversions = [_CONVERSIONS.get(t) for t in types]
+            templates[types] = None if None in conversions else ",".join(conversions)
+        template = templates[types]
+        lines.append(template % tuple(row) if template is not None
+                     else ",".join([_cell(v) for v in row]))
     return "\n".join(lines) + "\n"
 
 

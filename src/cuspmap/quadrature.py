@@ -32,6 +32,8 @@ __all__ = [
     "IntegrabilityReport",
     "distortion_power_integral",
     "distortion_exp_integral",
+    "distortion_power_integrals",
+    "distortion_exp_integrals",
 ]
 
 _HALF_PI = math.pi / 2.0
@@ -112,15 +114,15 @@ class AnnularScheme:
         return cls((0.0,) + tuple(ks), annuli_per_step, radial_nodes, angular_nodes)
 
 
-def _log_annulus_contribs(u_in, u_out, bands, radial, angular, log_field):
-    """Per-node log contributions of int exp(log_field) * r dr dtheta.
+def _annulus_nodes(u_in, u_out, bands, radial, angular):
+    """Gauss nodes and log weights of int f * r dr dtheta over annuli.
 
     Substituting r = e^u turns the area element into e^{2u} du dtheta.
     `u_in` and `u_out` are arrays of the annuli's log-radii; `radial` and
-    `angular` are Gauss-Legendre (nodes, weights) on [-1, 1]. All nodes go
-    through `log_field` in one call, on axes (annulus, band, sector, radial,
-    angular). Returns one row of log(node term) per annulus, in that axis
-    order; the annulus value is the logsumexp of its row.
+    `angular` are Gauss-Legendre (nodes, weights) on [-1, 1]. Returns
+    (us, ts, lwu, lwt), which broadcast over the axes (annulus, band,
+    sector, radial, angular): the log of a node's term of
+    int exp(log_f) * r dr dtheta is log_f(us, ts) + 2 us + lwu + lwt.
     """
     (xu, wu), (xt, wt) = radial, angular
     edges = np.linspace(u_in, u_out, bands + 1, axis=-1)
@@ -130,8 +132,7 @@ def _log_annulus_contribs(u_in, u_out, bands, radial, angular, log_field):
     a, b = np.array(_SECTORS).T[:, :, None]
     ts = (0.5 * (b - a) * (xt + 1.0) + a)[:, None, :]
     lwt = np.log(0.5 * (b - a) * wt)[:, None, :]
-    lf = log_field(us, ts)
-    return (lf + 2.0 * us + lwu + lwt).reshape(len(edges), -1)
+    return us, ts, lwu, lwt
 
 
 def _logsumexp(values: np.ndarray) -> list:
@@ -216,26 +217,32 @@ def _chain_log_field(chain: MapChain):
     return lambda u, t: np.log(distortion_values(u, t, params))
 
 
-def _integral_report(kind, parameter, transform, scheme, chain) -> IntegrabilityReport:
+def _integral_reports(kind, parameters, transform, scheme, chain) -> list:
+    """One report per parameter, of the log integrand transform(parameter, log K).
+
+    log K is evaluated once per chunk of annuli and shared by every parameter,
+    so each report equals the one of a call with that parameter alone.
+    """
     log_k = _chain_log_field(chain)
-
-    def log_integrand(u, t):
-        return transform(log_k(u, t))
-
     radial = gauss_legendre(scheme.radial_nodes)
     angular = gauss_legendre(scheme.angular_nodes)
     u = np.array(scheme.log2_eps) * _LOG2
     u_out, u_in = u[:-1], u[1:]
     nodes = scheme.annuli_per_step * len(_SECTORS) * scheme.radial_nodes * scheme.angular_nodes
     step = max(1, _NODES_PER_CALL // nodes)  # annuli per call
-    log_increments = []
+    log_increments = [[] for _ in parameters]
     for i in range(0, len(u_in), step):
-        contribs = _log_annulus_contribs(u_in[i:i + step], u_out[i:i + step],
-                                         scheme.annuli_per_step, radial, angular, log_integrand)
-        if np.any(np.isnan(contribs)):
-            raise NodeError("non-finite integrand at a quadrature node")
-        log_increments += _logsumexp(contribs)
-    return _report(kind, parameter, scheme, log_increments)
+        us, ts, lwu, lwt = _annulus_nodes(u_in[i:i + step], u_out[i:i + step],
+                                          scheme.annuli_per_step, radial, angular)
+        lk = log_k(us, ts)
+        for parameter, increments in zip(parameters, log_increments):
+            # one row of node terms per annulus; the annulus value is its logsumexp
+            contribs = (transform(parameter, lk) + 2.0 * us + lwu + lwt).reshape(len(us), -1)
+            if np.any(np.isnan(contribs)):
+                raise NodeError("non-finite integrand at a quadrature node")
+            increments += _logsumexp(contribs)
+    return [_report(kind, parameter, scheme, increments)
+            for parameter, increments in zip(parameters, log_increments)]
 
 
 def _check_parameter(name: str, value: float) -> None:
@@ -243,13 +250,28 @@ def _check_parameter(name: str, value: float) -> None:
         raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
+def distortion_power_integrals(ps, scheme: AnnularScheme, chain: MapChain) -> list:
+    """Partial integrals of K^p over shrinking annuli at the singular point,
+    one report per exponent in the sequence ps."""
+    for p in ps:
+        _check_parameter("exponent", p)
+    return _integral_reports("K^p", ps, lambda p, lk: p * lk, scheme, chain)
+
+
+def distortion_exp_integrals(lams, scheme: AnnularScheme, chain: MapChain) -> list:
+    """Partial integrals of exp(lambda K), accumulated in log space, one
+    report per lambda in the sequence lams."""
+    for lam in lams:
+        _check_parameter("lambda", lam)
+    return _integral_reports("exp(lambda K)", lams, lambda lam, lk: lam * np.exp(lk),
+                             scheme, chain)
+
+
 def distortion_power_integral(p: float, scheme: AnnularScheme, chain: MapChain) -> IntegrabilityReport:
     """Partial integrals of K^p over shrinking annuli at the singular point."""
-    _check_parameter("exponent", p)
-    return _integral_report("K^p", p, lambda lk: p * lk, scheme, chain)
+    return distortion_power_integrals([p], scheme, chain)[0]
 
 
 def distortion_exp_integral(lam: float, scheme: AnnularScheme, chain: MapChain) -> IntegrabilityReport:
     """Partial integrals of exp(lambda K), accumulated in log space."""
-    _check_parameter("lambda", lam)
-    return _integral_report("exp(lambda K)", lam, lambda lk: lam * np.exp(lk), scheme, chain)
+    return distortion_exp_integrals([lam], scheme, chain)[0]

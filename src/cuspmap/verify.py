@@ -44,8 +44,8 @@ from .maps import (
     normalize_angle,
     outer_angle_map,
 )
-from .profile import ProfileParams, evaluate
-from .quadrature import AnnularScheme, Verdict, distortion_exp_integral, distortion_power_integral
+from .profile import ProfileParams, _curves
+from .quadrature import AnnularScheme, Verdict, distortion_exp_integrals, distortion_power_integrals
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_suite", "select_criteria",
            "halton"]
@@ -174,13 +174,11 @@ def criterion_2(out_dir=None, cg: float = 16.0) -> CriterionResult:
     x = rad * np.cos(ang) + 1j * (rad * np.sin(ang))
     worst_rt = float(np.max(np.abs(chain_inverse_values(chain_values(x, chain), chain) - x)))
 
-    radii = np.exp(np.linspace(math.log(1e-12), 0.0, 200))
-    worst_seam = 0.0
-    for r in radii:
-        a = evaluate(float(r), params).half_angle
-        gap_front = abs(inner_angle_map(_HALF_PI, a) - outer_angle_map(_HALF_PI, a))
-        wrap = outer_angle_map(3 * _HALF_PI, a) - (inner_angle_map(-_HALF_PI, a) + 2.0 * math.pi)
-        worst_seam = max(worst_seam, gap_front, abs(wrap))
+    log_radii = np.linspace(math.log(1e-12), 0.0, 200)
+    a = np.arctan(_curves(log_radii, params.log_cg())[4])  # cusp half-angles
+    gap_front = np.abs(inner_angle_map(_HALF_PI, a) - outer_angle_map(_HALF_PI, a))
+    wrap = outer_angle_map(3 * _HALF_PI, a) - (inner_angle_map(-_HALF_PI, a) + 2.0 * math.pi)
+    worst_seam = float(np.max([gap_front, np.abs(wrap)]))
 
     rs, ts = _halton_polar(1000, 1e-9, 1.0, -_HALF_PI, 3 * _HALF_PI, skip=29)
     min_det = float(np.min(distortion_table(np.log(rs), ts, params)[1]))
@@ -227,12 +225,11 @@ def criterion_4(out_dir=None, cg: float = 16.0) -> CriterionResult:
     chain = MapChain.default(cg)
     scheme = AnnularScheme.dyadic(64)
     rows, ok = [], True
-    for p in (0.5, 1.0, 2.0, 4.0, 8.0):
-        rep = distortion_power_integral(p, scheme, chain)
+    for rep in distortion_power_integrals((0.5, 1.0, 2.0, 4.0, 8.0), scheme, chain):
         last_ratio = rep.ratio_stats[-1]
         good = rep.verdict is Verdict.CONVERGENT and last_ratio <= 0.9
         ok = ok and good
-        rows.append((p, rep.verdict.value, last_ratio, rep.partials[-1][1]))
+        rows.append((rep.parameter, rep.verdict.value, last_ratio, rep.partials[-1][1]))
     elapsed = time.perf_counter() - t0
     _write(out_dir, "power_integrals.csv",
            csv_text(["p", "verdict", "last_increment_ratio", "total"], rows))
@@ -252,13 +249,12 @@ def criterion_5(out_dir=None, cg: float = 16.0) -> CriterionResult:
     chain = MapChain.default(cg)
     scheme = AnnularScheme.dyadic(64)
     rows, ok = [], True
-    for lam in (0.01, 0.1, 1.0):
-        rep = distortion_exp_integral(lam, scheme, chain)
+    for rep in distortion_exp_integrals((0.01, 0.1, 1.0), scheme, chain):
         increasing = all(b > a for a, b in zip(rep.log_partials[:-1], rep.log_partials[1:]))
         growing = all(r >= 1.1 for r in rep.ratio_stats[-3:])
         good = rep.verdict is Verdict.DIVERGENT and increasing and growing
         ok = ok and good
-        rows.append((lam, rep.verdict.value, increasing, rep.ratio_stats[-1],
+        rows.append((rep.parameter, rep.verdict.value, increasing, rep.ratio_stats[-1],
                      rep.log_partials[-1]))
     elapsed = time.perf_counter() - t0
     _write(out_dir, "exp_integrals.csv",

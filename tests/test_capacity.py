@@ -136,6 +136,36 @@ def test_log_width_integral_builds_only_the_panels_that_count():
     assert est.log_value == pytest.approx(-(1e8 - 2.0 * math.log(1e8)), rel=0.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("a", [1e-17, 1e-100, 1e-300])
+def test_log_width_integral_past_the_panel_spacing_of_doubles(a):
+    # panels of width 4 near s = 1/a fall below the spacing of doubles there;
+    # the integral is e^S / S^2 (1 + 2 / S + ...) with S = 1/a
+    s = 1.0 / a
+    assert _log_width_integral(a, 0.5) == s - 2.0 * math.log(s)
+
+
+def test_test_energy_falls_with_the_cutoff_down_to_1e_300():
+    logs = [cusp_test_energy(r, 1.0).log_value for r in (1e-16, 1e-17, 1e-100, 1e-300)]
+    assert all(math.isfinite(v) for v in logs)
+    assert all(b < a for a, b in zip(logs[:-1], logs[1:]))
+    # below 1 / DBL_MAX the log energy is -inf, not NaN
+    assert cusp_test_energy(5e-324, 1.0).log_value == -math.inf
+
+
+def test_log_width_integral_of_a_narrow_interval():
+    # a and b one ulp apart at 0.1 give a few ulps in s; edges that coincide
+    # bound no panel, and the value is e^s * (1/a - 1/b) / s^2 to the accuracy
+    # of the rounded reciprocals
+    a = 0.1
+    b = math.nextafter(math.nextafter(a, 1.0), 1.0)
+    s_lo, s_hi = 1.0 / b, 1.0 / a
+    assert _log_width_integral(a, b) == pytest.approx(
+        s_hi - 2.0 * math.log(s_hi) + math.log(s_hi - s_lo), abs=1e-6)
+    # adjacent doubles whose reciprocals round to one double
+    with pytest.raises(DomainError):
+        _log_width_integral(0.49000000000000005, 0.4900000000000001)
+
+
 def test_grid_capacity_annulus_low_resolution():
     exact = 2.0 * math.pi / math.log(4.0)
     errs = []

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from cuspmap import cli
 from cuspmap.cli import main
 
 
@@ -388,6 +393,46 @@ def test_numeric_error_exit_code(capsys):
     code = main(["capacity", "theorem1", "--t", "1e-200", "--resolution", "16",
                  "--arc-samples", "2"])
     assert code == 3
+
+
+def test_repeated_calls_share_one_parser_and_leak_no_state(tmp_path, capsys):
+    # --roundtrip, then a call without it
+    _, out = run(["map", "sample", "--points=0.1,0.2", "--roundtrip"], capsys)
+    assert rows_of(out)[0][-1] == "roundtrip_error"
+    _, out = run(["map", "sample", "--points=0.1,0.2"], capsys)
+    assert rows_of(out)[0] == ["x1", "x2", "fx1", "fx2"]
+    # --config FILE, then no config
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("depth=12\n")
+    _, out = run(["integrate", "--kpow", "1", "--config", str(cfg)], capsys)
+    assert len(json.loads(out)["partials"]) == 12
+    _, out = run(["integrate", "--kpow", "1"], capsys)
+    assert len(json.loads(out)["partials"]) == 64
+    # a usage error, then a valid call
+    assert usage_exit_code(["integrate", "--kpow", "1", "--depth", "2"]) == 2
+    code, out = run(["integrate", "--kpow", "1", "--depth", "8"], capsys)
+    assert code == 0 and len(json.loads(out)["partials"]) == 8
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = ("import cuspmap.cli as c; assert c._build_parser.cache_info().currsize == 0; "
+            "c.main(['integrate', '--kpow', '1', '--depth', '6']); "
+            "c.main(['integrate', '--kpow', '2', '--depth', '6']); "
+            "assert c._build_parser.cache_info().misses == 1")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_capacity_test_fn_past_the_panel_spacing_of_doubles(capsys):
+    # 1 / r beyond 2^52: the width integral takes its asymptote
+    for r in ("1e-17", "1e-300"):
+        code, out = run(["capacity", "test-fn", "--r", r, "--d", "1"], capsys)
+        assert code == 0
+        assert json.loads(out)["log_energy"] == -(1.0 / float(r) - 2.0 * math.log(1.0 / float(r)))
 
 
 def test_version_flag(capsys):

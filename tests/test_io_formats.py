@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspmap.io_formats import csv_text, fmt17, json_text, pgm_bytes
 
@@ -56,3 +58,58 @@ def test_pgm_layout():
     assert len(pixels) == 12
     assert pixels[0] == 0 and pixels[-1] == 255
     assert pgm_bytes(data) == blob
+
+
+def reference_csv(header, rows):
+    """Per-cell reference: format(v, ".17g") for floats, and the documented
+    spelling of every other cell type."""
+    def cell(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        if isinstance(v, (float, np.floating)):
+            return format(float(v), ".17g")
+        return str(v)
+    return "".join(",".join(cell(v) for v in line) + "\n" for line in [header] + list(rows))
+
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072e-308,
+                  1.7976931348623157e308, -1.7976931348623157e308]
+floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                   st.sampled_from(SPECIAL_FLOATS))
+cells = st.one_of(
+    floats,
+    floats.map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(-10**30, 10**30),
+    st.booleans(),
+    st.text(alphabet="abcxyz%-_.", max_size=6),
+)
+
+
+@SETTINGS
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.lists(cells, min_size=n, max_size=n), max_size=8)))
+def test_csv_templates_write_the_per_cell_bytes(rows):
+    header = [f"c{i}" for i in range(len(rows[0]) if rows else 0)]
+    assert csv_text(header, rows) == reference_csv(header, rows)
+    assert csv_text(header, [tuple(r) for r in rows]) == reference_csv(header, rows)
+
+
+@SETTINGS
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(floats, min_size=n, max_size=n), min_size=1, max_size=8)))
+def test_csv_of_a_float_array_equals_its_row_lists(rows):
+    array = np.array(rows, dtype=float)
+    header = [f"c{i}" for i in range(array.shape[1])]
+    assert csv_text(header, array) == csv_text(header, array.tolist())
+    assert csv_text(header, array) == reference_csv(header, array.tolist())
+
+
+def test_csv_of_other_arrays_equals_their_row_lists():
+    for array in (np.arange(6).reshape(3, 2), np.array([[True, False]]), np.zeros((0, 3)),
+                  np.array([[1e20, 2.0]])[:, :0]):
+        header = ["a", "b"]
+        assert csv_text(header, array) == csv_text(header, array.tolist())

@@ -19,7 +19,14 @@ from cuspmap import (
 )
 from cuspmap import quadrature
 from cuspmap.distortion import distortion_values
-from cuspmap.quadrature import _integral_report, _log_annulus_contribs, _logsumexp, _report
+from cuspmap.quadrature import (
+    _annulus_nodes,
+    _integral_reports,
+    _logsumexp,
+    _report,
+    distortion_exp_integrals,
+    distortion_power_integrals,
+)
 
 CHAIN = MapChain.default()
 CONFORMAL = MapChain(ProfileParams(), (MapStage.DISK_TO_HALFPLANE,))
@@ -27,11 +34,12 @@ CONFORMAL = MapChain(ProfileParams(), (MapStage.DISK_TO_HALFPLANE,))
 
 def annulus_integral(log_field, r_in, r_out, radial_nodes, angular_nodes):
     """Area integral of exp(log_field(log r, theta)) over an annulus, log-space path."""
-    contribs = _log_annulus_contribs(
+    us, ts, lwu, lwt = _annulus_nodes(
         np.array([math.log(r_in)]), np.array([math.log(r_out)]), 1,
         np.polynomial.legendre.leggauss(radial_nodes),
-        np.polynomial.legendre.leggauss(angular_nodes), log_field,
+        np.polynomial.legendre.leggauss(angular_nodes),
     )
+    contribs = (log_field(us, ts) + 2.0 * us + lwu + lwt).reshape(1, -1)
     return math.exp(_logsumexp(contribs)[0])
 
 
@@ -91,7 +99,8 @@ def test_annulus_guards():
         AnnularScheme((-1.0, 0.0))
     # a NaN integrand at a node
     with pytest.raises(NodeError):
-        _integral_report("K^p", 1.0, lambda lk: lk * math.nan, AnnularScheme.dyadic(6), CHAIN)
+        _integral_reports("K^p", [1.0], lambda p, lk: lk * math.nan, AnnularScheme.dyadic(6),
+                          CHAIN)
 
 
 def test_node_doubling_stability():
@@ -122,6 +131,30 @@ def test_batched_report_split_over_several_calls(nodes_per_call, monkeypatch):
     scheme = AnnularScheme.dyadic(64)
     assert distortion_power_integral(2.0, scheme, CHAIN) == per_annulus_report(
         "K^p", 2.0, lambda lk: 2.0 * lk, scheme)
+
+
+@pytest.mark.parametrize("integrals,integral,parameters", [
+    (distortion_power_integrals, distortion_power_integral, (0.5, 1.0, 2.0, 4.0, 8.0)),
+    (distortion_exp_integrals, distortion_exp_integral, (0.01, 0.1, 1.0)),
+], ids=["kpow", "explambda"])
+def test_one_k_field_gives_the_reports_of_the_one_parameter_calls(integrals, integral,
+                                                                  parameters):
+    # criteria 4 and 5: all parameters share one evaluation of K per chunk
+    scheme = AnnularScheme.dyadic(64)
+    assert integrals(parameters, scheme, CHAIN) == [integral(v, scheme, CHAIN)
+                                                    for v in parameters]
+
+
+def test_one_k_field_per_chunk(monkeypatch):
+    calls = []
+
+    def counted(u, t, params):
+        calls.append(np.broadcast_shapes(np.shape(u), np.shape(t)))
+        return distortion_values(u, t, params)
+
+    monkeypatch.setattr(quadrature, "distortion_values", counted)
+    reports = distortion_power_integrals((0.5, 1.0, 2.0), AnnularScheme.dyadic(64), CHAIN)
+    assert len(reports) == 3 and len(calls) == 1
 
 
 def test_scheme_validation():
@@ -234,6 +267,10 @@ def test_parameter_guards():
         distortion_power_integral(0.0, AnnularScheme.dyadic(8), CHAIN)
     with pytest.raises(DomainError):
         distortion_exp_integral(-1.0, AnnularScheme.dyadic(8), CHAIN)
+    with pytest.raises(DomainError):
+        distortion_power_integrals((1.0, math.inf), AnnularScheme.dyadic(8), CHAIN)
+    with pytest.raises(DomainError):
+        distortion_exp_integrals((0.1, math.nan), AnnularScheme.dyadic(8), CHAIN)
 
 
 def test_gauss_legendre_rules_are_computed_once_and_read_only():
