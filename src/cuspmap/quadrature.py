@@ -86,12 +86,6 @@ class AnnularScheme:
         if self.annuli_per_step < 1 or self.radial_nodes < 2 or self.angular_nodes < 2:
             raise DomainError("node and subdivision counts must be >= 2 (subdivision >= 1)")
 
-    @property
-    def eps_list(self) -> tuple:
-        """Inner radii as doubles; underflows to 0 for very deep schemes."""
-        with np.errstate(under="ignore"):
-            return tuple(float(2.0**v) for v in self.log2_eps)
-
     @classmethod
     def dyadic(cls, depth: int = 64, annuli_per_step: int = 1,
                radial_nodes: int = 8, angular_nodes: int = 16) -> "AnnularScheme":

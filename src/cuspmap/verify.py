@@ -2,7 +2,7 @@
 
 Every criterion is a pure function of its configuration, writes its evidence
 as deterministic CSV/JSON artifacts, and carries a wall-clock budget. The
-determinism criterion re-runs the other nine into a second directory and
+determinism criterion runs the other nine twice, into two directories, and
 byte-compares the artifact trees.
 
 Three criteria encode fixed numerical targets that direct evaluation of the
@@ -73,21 +73,6 @@ def halton(n: int, skip: int = 20) -> np.ndarray:
     return np.column_stack([axis(2), axis(3)])
 
 
-# criterion number -> (name, wall-clock budget in seconds)
-_INFO = {
-    1: ("jacobian-fd-agreement", 5.0),
-    2: ("homeomorphism-sanity", 5.0),
-    3: ("distortion-envelope", 10.0),
-    4: ("power-integrability", 60.0),
-    5: ("exp-divergence", 60.0),
-    6: ("test-function-decay", 5.0),
-    7: ("capacity-calibration", 120.0),
-    8: ("tip-capacity-scaling", 600.0),
-    9: ("boundary-asymptotics", 2.0),
-    10: ("determinism", math.inf),
-}
-
-
 @dataclass
 class CriterionResult:
     index: int
@@ -104,7 +89,7 @@ class CriterionResult:
 
 def _result(index: int, passed: bool, elapsed: float, details: dict) -> CriterionResult:
     """PASS needs the checks and the criterion's wall-clock budget."""
-    name, budget = _INFO[index]
+    name, budget, _ = CRITERIA[index]
     return CriterionResult(index, name, passed and elapsed < budget, elapsed, budget, details)
 
 
@@ -340,11 +325,6 @@ def criterion_9(out_dir=None, cg: float = 16.0) -> CriterionResult:
                    {"C_narrow_window": c_narrow, "C_wide_window": c_wide})
 
 
-def _run_artifact_batch(out_dir, cg, indices):
-    for idx in indices:
-        CRITERIA[idx](os.path.join(out_dir, f"criterion-{idx:02d}"), cg)
-
-
 def criterion_10(out_dir=None, cg: float = 16.0) -> CriterionResult:
     """Two consecutive runs of the suite produce byte-identical artifacts."""
     t0 = time.perf_counter()
@@ -352,18 +332,13 @@ def criterion_10(out_dir=None, cg: float = 16.0) -> CriterionResult:
 
     with tempfile.TemporaryDirectory() as tmp:
         run1, run2 = os.path.join(tmp, "run1"), os.path.join(tmp, "run2")
-        indices = [i for i in sorted(CRITERIA) if i != 10]
-        _run_artifact_batch(run1, cg, indices)
-        _run_artifact_batch(run2, cg, indices)
+        for run in (run1, run2):
+            for idx in sorted(CRITERIA)[:-1]:  # all but this one
+                run_criterion(idx, run, cg)
         mismatches = []
-        files1 = sorted(
-            os.path.relpath(os.path.join(d, f), run1)
-            for d, _, fs in os.walk(run1) for f in fs
-        )
-        files2 = sorted(
-            os.path.relpath(os.path.join(d, f), run2)
-            for d, _, fs in os.walk(run2) for f in fs
-        )
+        files1, files2 = (sorted(os.path.relpath(os.path.join(d, f), run)
+                                 for d, _, fs in os.walk(run) for f in fs)
+                          for run in (run1, run2))
         if files1 != files2:
             mismatches.append("file sets differ")
         else:
@@ -380,36 +355,36 @@ def criterion_10(out_dir=None, cg: float = 16.0) -> CriterionResult:
                    {"compared_files": len(files1), "mismatches": mismatches})
 
 
+# criterion number -> (name, wall-clock budget in seconds, function)
 CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
+    1: ("jacobian-fd-agreement", 5.0, criterion_1),
+    2: ("homeomorphism-sanity", 5.0, criterion_2),
+    3: ("distortion-envelope", 10.0, criterion_3),
+    4: ("power-integrability", 60.0, criterion_4),
+    5: ("exp-divergence", 60.0, criterion_5),
+    6: ("test-function-decay", 5.0, criterion_6),
+    7: ("capacity-calibration", 120.0, criterion_7),
+    8: ("tip-capacity-scaling", 600.0, criterion_8),
+    9: ("boundary-asymptotics", 2.0, criterion_9),
+    10: ("determinism", math.inf, criterion_10),
 }
 
 
 def run_criterion(index: int, out_dir=None, cg: float = 16.0) -> CriterionResult:
     target = os.path.join(out_dir, f"criterion-{index:02d}") if out_dir else None
-    return CRITERIA[index](target, cg)
+    return CRITERIA[index][2](target, cg)
 
 
 def select_criteria(only=None) -> list:
-    """Indices of the criteria matching a number or name fragment (all for None).
+    """Indices of the criteria matching `only` (all for None): a number selects
+    its criterion, any other text the criteria whose names contain it.
 
     Raises KeyError when nothing matches.
     """
     selected = sorted(CRITERIA)
     if only:
         needle = str(only).lower()
-        selected = [i for i in selected
-                    if needle in CRITERIA[i].__name__ or needle == str(i)
-                    or needle in _INFO[i][0]]
+        selected = [i for i in selected if needle == str(i) or needle in CRITERIA[i][0]]
         if not selected:
             raise KeyError(f"no criterion matches {only!r}")
     return selected

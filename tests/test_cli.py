@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,9 @@ import pytest
 
 from cuspmap import cli
 from cuspmap.cli import main
+from cuspmap.verify import select_criteria
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(args, capsys):
@@ -247,6 +251,16 @@ def test_config_flag_without_a_file_is_a_usage_error(capsys):
     assert usage_exit_code(["integrate", "--kpow", "1", "--config"]) == 2
 
 
+@pytest.mark.parametrize("value,on", [("true", True), ("yes", True), ("1", True),
+                                      ("false", False), ("no", False), ("0", False)])
+def test_config_boolean_key_sets_or_leaves_off_its_flag(value, on, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"roundtrip={value}\n")
+    code, out = run(["map", "sample", "--points=0.1,0.2", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert (rows_of(out)[0][-1] == "roundtrip_error") is on
+
+
 def test_config_equals_form_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("depth=12\n")
@@ -367,6 +381,19 @@ def test_verify_only_without_a_match_is_a_usage_error(capsys):
     assert "no criterion matches 'nosuch'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("only,selected", [("1", [1]), ("10", [10]), ("9", [9]),
+                                           ("distortion", [3]), ("cap", [7, 8])])
+def test_verify_only_selects_a_number_or_a_printed_name(only, selected):
+    assert select_criteria(only) == selected
+
+
+@pytest.mark.parametrize("only", ["0", "criterion_1"])
+def test_verify_only_matches_no_function_name(only, capsys):
+    # function names do not match: both are substrings of criterion_10
+    assert usage_exit_code(["verify", "--only", only]) == 2
+    assert f"no criterion matches {only!r}" in capsys.readouterr().err
+
+
 def test_map_sample_round_trip_next_to_the_pole(capsys):
     # f1 sends this point to radius 2e12, far out on the radial extension
     code, out = run(["map", "sample", "--points=0.999999999999,0", "--roundtrip"], capsys)
@@ -439,3 +466,21 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def readme_commands():
+    """The cuspmap examples of the README's "Command line" block, but verify."""
+    block = README.read_text().split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("cuspmap ") and not line.startswith("cuspmap verify")]
+
+
+def test_readme_lists_the_command_examples():
+    assert len(readme_commands()) == 12
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_examples_run(argv, tmp_path, capsys):
+    argv = [str(tmp_path / a) if a.endswith(".pgm") else a for a in argv]
+    assert main(argv) == 0
+    capsys.readouterr()

@@ -16,7 +16,7 @@ from cuspmap import (
     chain_values,
 )
 from cuspmap.maps import fit_tip_curvature, inner_angle_map, normalize_angle, outer_angle_map
-from cuspmap.profile import evaluate
+from cuspmap.profile import _curves
 from cuspmap.verify import halton
 
 PARAMS = ProfileParams()
@@ -25,6 +25,12 @@ SQUEEZE = MapChain(PARAMS, (MapStage.CUSP,))
 TO_HALFPLANE = MapChain(PARAMS, (MapStage.DISK_TO_HALFPLANE,))
 TO_DISK = MapChain(PARAMS, (MapStage.HALFPLANE_TO_DISK,))
 INF = complex(math.inf, math.inf)
+
+
+def profile_at(r: float) -> dict:
+    """Depth, image radius and cusp half-angle at one radius, from the array core."""
+    _, _, g, G, aspect, _ = _curves(np.float64(math.log(r)), PARAMS.log_cg())
+    return {"depth": float(g), "image_radius": float(G), "half_angle": math.atan(aspect)}
 
 
 def stage(chain, z: complex) -> complex:
@@ -105,7 +111,7 @@ def test_cusp_map_axis_ray():
     for r in (1e-8, 0.2, 1.0):
         w = squeeze(r, 0.0)
         assert w.imag == 0.0
-        assert w.real == pytest.approx(evaluate(r, PARAMS).image_radius, rel=1e-15)
+        assert w.real == pytest.approx(profile_at(r)["image_radius"], rel=1e-15)
 
 
 def test_cusp_map_fixes_origin():
@@ -115,7 +121,7 @@ def test_cusp_map_fixes_origin():
 def test_seam_continuity_of_angle_formulas():
     # inner limit at +pi/2 equals the outer value; 3pi/2 wraps onto -pi/2
     for r in np.geomspace(1e-12, 1.0, 200):
-        a = evaluate(float(r), PARAMS).half_angle
+        a = profile_at(float(r))["half_angle"]
         assert abs(inner_angle_map(math.pi / 2, a) - outer_angle_map(math.pi / 2, a)) <= 1e-12
         wrap = outer_angle_map(3 * math.pi / 2, a) - (
             inner_angle_map(-math.pi / 2, a) + 2.0 * math.pi
@@ -127,13 +133,13 @@ def test_seam_image_lies_on_cusp_curve():
     # the seam ray lands on (depth, e^{-1/depth}): the image-domain boundary
     for r in np.geomspace(1e-3, 1.0, 50):
         w = squeeze(float(r), math.pi / 2)
-        g = evaluate(float(r), PARAMS).depth
+        g = profile_at(float(r))["depth"]
         assert w.real == pytest.approx(g, rel=1e-12)
         assert w.imag == pytest.approx(math.exp(-1.0 / g), rel=1e-12)
 
 
 def test_radial_extension_isometry():
-    one = evaluate(1.0, PARAMS).image_radius
+    one = profile_at(1.0)["image_radius"]
     for r in (1.0 + 1e-12, 2.0, 17.5, 1e4):
         for theta in (0.0, 1.0, math.pi, -1.2):
             assert abs(squeeze(r, theta)) == pytest.approx(r * one, rel=1e-14)
@@ -146,14 +152,14 @@ def test_squeeze_injectivity_on_polar_grid():
     inner = np.abs(thetas) < math.pi / 2
     images = np.empty((512, 512), dtype=complex)
     for i, r in enumerate(rs):
-        e = evaluate(float(r), PARAMS)
+        e = profile_at(float(r))
         phi = np.where(
             inner,
-            inner_angle_map(thetas, e.half_angle),
+            inner_angle_map(thetas, e["half_angle"]),
             outer_angle_map(np.where(thetas >= math.pi / 2, thetas, thetas + 2 * math.pi),
-                            e.half_angle),
+                            e["half_angle"]),
         )
-        images[i] = e.image_radius * np.exp(1j * phi)
+        images[i] = e["image_radius"] * np.exp(1j * phi)
     assert len(np.unique(images.ravel())) == 512 * 512
     # the chain's squeeze stage gives the same images, pairwise distinct too
     z = rs[:, None] * np.exp(1j * thetas[None, :])
@@ -171,9 +177,9 @@ def test_cusp_map_inverse_round_trip():
 
 def test_cusp_map_inverse_seam_convention():
     # an image angle exactly at the opening goes to the outer seam theta = pi/2
-    e = evaluate(0.4, PARAMS)
-    r, theta = squeeze_inv(e.image_radius * complex(math.cos(e.half_angle),
-                                                    math.sin(e.half_angle)))
+    e = profile_at(0.4)
+    r, theta = squeeze_inv(e["image_radius"] * complex(math.cos(e["half_angle"]),
+                                                       math.sin(e["half_angle"])))
     assert r == pytest.approx(0.4, rel=1e-12)
     assert theta == pytest.approx(math.pi / 2, abs=1e-9)
     # the seam angle itself round-trips, and the wrapped seam lands on -pi/2
@@ -182,14 +188,14 @@ def test_cusp_map_inverse_seam_convention():
 
 
 def test_cusp_map_inverse_axis_point():
-    g05 = evaluate(0.5, PARAMS).image_radius
+    g05 = profile_at(0.5)["image_radius"]
     r, theta = squeeze_inv(complex(g05, 0.0))
     assert r == pytest.approx(0.5, abs=1e-12)
     assert theta == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cusp_map_inverse_extension_region():
-    one = evaluate(1.0, PARAMS).image_radius
+    one = profile_at(1.0)["image_radius"]
     w = complex(0.0, 3.0 * one)
     r, theta = squeeze_inv(w)
     assert r == pytest.approx(3.0, rel=1e-14)
@@ -244,7 +250,7 @@ def test_chain_handles_infinity():
     # f1(inf) = -1, the squeeze sends (1, pi) to (-G(1), 0), then f3 acts
     inf = complex(math.inf, math.inf)
     w = complex(chain_values(inf, CHAIN))
-    g1 = evaluate(1.0, PARAMS).image_radius
+    g1 = profile_at(1.0)["image_radius"]
     assert w == pytest.approx(-g1 / (1.0 - g1), rel=1e-13)
     # the squeeze alone fixes infinity
     assert not np.isfinite(chain_values(inf, SQUEEZE))

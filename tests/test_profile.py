@@ -5,12 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from cuspmap import DomainError, ProfileParams, depth, evaluate
-from cuspmap.profile import depth_inverse_log
+from cuspmap import DomainError, ProfileParams
+from cuspmap.profile import _curves, _depth_at_one, _scaled_rates, depth_inverse_log
 
 P16 = ProfileParams(cg=16.0)
 # the depth equals 1 exactly at r = cg * e^-e, which lies in (0, 1] for cg = 8
 P8 = ProfileParams(cg=8.0)
+
+
+def profile(r, params):
+    """The curves, their first derivatives in r and the cusp half-angle at the
+    radii r, from the array core."""
+    r = np.asarray(r, float)
+    l1, l2, g, G, aspect, slant = _curves(np.log(r), params.log_cg())
+    r_dg, r_da, r_dG = _scaled_rates(l1, l2, g, aspect, slant)
+    return {"depth": g, "depth_rate": r_dg / r, "aspect": aspect, "aspect_rate": r_da / r,
+            "image_radius": G, "image_radius_rate": r_dG / r, "half_angle": np.arctan(aspect)}
 
 
 def depth_inverse(value, params):
@@ -32,7 +42,7 @@ ORACLE_1E6 = {
 def test_depth_at_forced_unit_point():
     # loglog(cg/r) = 1 exactly at r = cg * e^-e
     r = 8.0 * math.exp(-math.e)
-    assert depth(r, P8) == pytest.approx(1.0, rel=1e-14)
+    assert profile(r, P8)["depth"] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_small_cusp_constant_rejected_at_unit_radius():
@@ -42,69 +52,64 @@ def test_small_cusp_constant_rejected_at_unit_radius():
 
 
 def test_depth_high_precision_value():
-    assert depth(1e-10, P16) == pytest.approx(0.3076625816649012689928376, rel=1e-14)
+    assert profile(1e-10, P16)["depth"] == pytest.approx(0.3076625816649012689928376, rel=1e-14)
 
 
 def test_evaluate_against_multiprecision_oracle():
-    e = evaluate(1e-6, P16)
+    e = profile(1e-6, P16)
     for name, want in ORACLE_1E6.items():
-        assert getattr(e, name) == pytest.approx(want, rel=1e-9), name
+        assert e[name] == pytest.approx(want, rel=1e-9), name
 
 
 def test_image_radius_rate_identity():
     # d/dr [depth * sqrt(1 + aspect^2)] expanded by the chain rule
-    for r in (1e-9, 1e-3, 0.3, 0.99):
-        e = evaluate(r, P16)
-        expect = (
-            e.depth_rate * (1.0 + e.aspect**2) + e.depth * e.aspect * e.aspect_rate
-        ) / math.sqrt(1.0 + e.aspect**2)
-        assert e.image_radius_rate == pytest.approx(expect, rel=1e-12)
+    e = profile([1e-9, 1e-3, 0.3, 0.99], P16)
+    expect = (
+        e["depth_rate"] * (1.0 + e["aspect"] ** 2) + e["depth"] * e["aspect"] * e["aspect_rate"]
+    ) / np.sqrt(1.0 + e["aspect"] ** 2)
+    assert e["image_radius_rate"] == pytest.approx(expect, rel=1e-12)
 
 
 def test_unit_depth_point_fields():
     r = 8.0 * math.exp(-math.e)
-    e = evaluate(r, P8)
-    assert e.depth == pytest.approx(1.0, rel=1e-13)
-    assert e.aspect == pytest.approx(math.exp(-1.0), rel=1e-13)
-    assert e.half_angle == pytest.approx(math.atan(math.exp(-1.0)), rel=1e-13)
+    e = profile(r, P8)
+    assert e["depth"] == pytest.approx(1.0, rel=1e-13)
+    assert e["aspect"] == pytest.approx(math.exp(-1.0), rel=1e-13)
+    assert e["half_angle"] == pytest.approx(math.atan(math.exp(-1.0)), rel=1e-13)
 
 
 def test_field_invariants_on_log_grid():
-    for r in np.geomspace(1e-300, 1.0, 40):
-        e = evaluate(float(r), P16)
-        assert e.depth > 0.0 and e.aspect > 0.0 and e.depth_rate > 0.0
-        assert e.image_radius >= e.depth
-        assert e.image_radius == pytest.approx(
-            e.depth * math.sqrt(1.0 + e.aspect**2), rel=1e-12
-        )
-        assert all(map(math.isfinite, (e.depth_rate, e.aspect_rate, e.image_radius_rate)))
+    e = profile(np.geomspace(1e-300, 1.0, 40), P16)
+    assert np.all(e["depth"] > 0.0) and np.all(e["aspect"] > 0.0)
+    assert np.all(e["depth_rate"] > 0.0)
+    assert np.all(e["image_radius"] >= e["depth"])
+    assert e["image_radius"] == pytest.approx(
+        e["depth"] * np.sqrt(1.0 + e["aspect"] ** 2), rel=1e-12
+    )
+    for rate in ("depth_rate", "aspect_rate", "image_radius_rate"):
+        assert np.all(np.isfinite(e[rate])), rate
 
 
 def test_derivatives_match_central_differences():
-    for r in (1e-6, 1e-3, 0.05, 0.4, 0.9):
-        e = evaluate(r, P16)
-        h = r * 1e-6
-        hi, lo = evaluate(r + h, P16), evaluate(r - h, P16)
-        for field, rate in (
-            ("depth", e.depth_rate),
-            ("aspect", e.aspect_rate),
-            ("image_radius", e.image_radius_rate),
-        ):
-            fd = (getattr(hi, field) - getattr(lo, field)) / (2.0 * h)
-            assert rate == pytest.approx(fd, rel=1e-6), (field, r)
+    r = np.array([1e-6, 1e-3, 0.05, 0.4, 0.9])
+    h = r * 1e-6
+    e, hi, lo = profile(r, P16), profile(r + h, P16), profile(r - h, P16)
+    for field in ("depth", "aspect", "image_radius"):
+        fd = (hi[field] - lo[field]) / (2.0 * h)
+        assert e[field + "_rate"] == pytest.approx(fd, rel=1e-6), field
 
 
 def test_monotonicity():
-    rs = np.geomspace(1e-300, 1.0, 60)
-    dvals = [depth(float(r), P16) for r in rs]
-    gvals = [evaluate(float(r), P16).image_radius for r in rs]
-    assert all(b > a for a, b in zip(dvals[:-1], dvals[1:]))
-    assert all(b > a for a, b in zip(gvals[:-1], gvals[1:]))
+    e = profile(np.geomspace(1e-300, 1.0, 60), P16)
+    assert np.all(np.diff(e["depth"]) > 0.0)
+    assert np.all(np.diff(e["image_radius"]) > 0.0)
 
 
 def test_limits_toward_the_tip():
-    assert depth(1e-100, P16) < depth(1e-10, P16) < 0.5
-    assert evaluate(1e-100, P16).aspect < evaluate(1e-10, P16).aspect
+    deep, shallow = profile([1e-100, 1e-10], P16)["depth"]
+    assert deep < shallow < 0.5
+    deep, shallow = profile([1e-100, 1e-10], P16)["aspect"]
+    assert deep < shallow
 
 
 def test_depth_inverse_unit_value():
@@ -117,8 +122,8 @@ def test_depth_inverse_half():
 
 
 def test_depth_round_trip():
-    for r in np.geomspace(1e-300, 1.0, 25):
-        g = depth(float(r), P16)
+    rs = np.geomspace(1e-300, 1.0, 25)
+    for r, g in zip(rs, profile(rs, P16)["depth"].tolist()):
         assert depth_inverse(g, P16) == pytest.approx(float(r), rel=1e-12)
 
 
@@ -129,15 +134,13 @@ def test_depth_inverse_log_past_underflow():
 
 
 def test_domain_errors():
-    with pytest.raises(DomainError):
-        depth(0.0, P16)
-    with pytest.raises(DomainError):
-        depth(-1.0, P16)
-    with pytest.raises(DomainError):
-        depth(1.5, P16)
-    with pytest.raises(DomainError):
-        evaluate(2.0, P16)
+    # loglog(cg/r) < 0 for cg/e < r < cg, and log(cg/r) < 0 beyond cg
+    for r in (16.0 * math.exp(-0.5), 20.0):
+        with pytest.raises(DomainError):
+            profile([0.5, r], P16)
     with pytest.raises(DomainError):
         depth_inverse_log(0.0, P16)
     with pytest.raises(DomainError):
-        depth_inverse_log(depth(1.0, P16) * 1.01, P16)
+        depth_inverse_log(profile(1.0, P16)["depth"] * 1.01, P16)
+    # the bound of the depth values is the depth at r = 1
+    assert _depth_at_one(P16) == pytest.approx(profile(1.0, P16)["depth"], rel=1e-15)

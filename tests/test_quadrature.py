@@ -165,7 +165,7 @@ def test_scheme_validation():
     with pytest.raises(DomainError):
         AnnularScheme((0.0, -1.0), radial_nodes=1)
     sch = AnnularScheme.dyadic(8)
-    assert sch.eps_list[0] == 1.0 and sch.eps_list[-1] == 2.0**-8
+    assert sch.log2_eps[0] == 0.0 and sch.log2_eps[-1] == -8.0
 
 
 def test_classify_examples():
