@@ -33,7 +33,7 @@ import numpy as np
 from .distortion import chain_distortion_values
 from .domains import arc_diameter, preimage_arc
 from .errors import ConvergenceError, DomainError, MaskError
-from .maps import MapChain
+from .maps import MapChain, _over_square
 from .quadrature import gauss_legendre
 
 __all__ = [
@@ -659,7 +659,10 @@ def preimage_diameter_bound_log(diam_eprime: float, lam: float, eps: float,
     """log of C * exp(-Ctilde / diam'^{(1+eps)/lam}); finite past underflow."""
     if not all(v > 0.0 for v in (diam_eprime, lam, eps, C, Ctilde)):
         raise DomainError("all bound parameters must be positive")
-    return math.log(C) - Ctilde * diam_eprime ** (-(1.0 + eps) / lam)
+    try:
+        return math.log(C) - Ctilde * diam_eprime ** (-(1.0 + eps) / lam)
+    except OverflowError:  # the power passes the largest double
+        return -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +740,7 @@ def tip_capacity_experiment(t_list, chain: MapChain, cfg: GridSolverConfig,
             t=t,
             capacity=cap.value,
             capacity_over_t=cap.value / t,
-            capacity_over_t2=cap.value / t**2,
+            capacity_over_t2=_over_square(cap.value, t),
             diam_image_arc=d_img,
             diam_preimage=arc.diameter,
             log_diam_preimage=arc.log_diameter,

@@ -31,7 +31,14 @@ from .distortion import distortion_table, distortion_values, fit_growth_envelope
 from .domains import preimage_arc
 from .errors import DomainError, ToolkitError
 from .io_formats import csv_text, json_text, write_pgm
-from .maps import MapChain, MapStage, boundary_image_trace, chain_inverse_values, chain_values
+from .maps import (
+    MapChain,
+    MapStage,
+    _over_square,
+    boundary_image_trace,
+    chain_inverse_values,
+    chain_values,
+)
 from .profile import ProfileParams
 from .quadrature import (
     AnnularScheme,
@@ -335,7 +342,7 @@ def _cmd_map_sample(args) -> int:
 def _cmd_map_trace(args) -> int:
     rows = boundary_image_trace(sorted(args.t, reverse=True))
     header = ["t", "x1", "x2", "residual", "residual_over_t2"]
-    table = [(r.t, r.x1, r.x2, r.residual, r.residual / r.t**2) for r in rows]
+    table = [(r.t, r.x1, r.x2, r.residual, _over_square(r.residual, r.t)) for r in rows]
     _emit_table(args, header, table)
     return 0
 

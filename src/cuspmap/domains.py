@@ -29,11 +29,12 @@ __all__ = [
 def _last_inside(outside, lo: float, hi: float) -> float:
     """Largest x in [lo, hi] before the monotone predicate `outside` turns true.
 
-    Bisection, at most 200 halvings, ending at float resolution.
+    Bisection, ending at float resolution: within [0, 1] that takes at most
+    1,075 halvings.
     """
     if not outside(hi):
         return hi
-    for _ in range(200):
+    for _ in range(1100):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # interval at float resolution
             break
@@ -45,17 +46,24 @@ def _last_inside(outside, lo: float, hi: float) -> float:
 
 
 def arc_diameter(pts) -> float:
-    """Exact pairwise maximum distance over an array of complex points (O(n^2))."""
+    """Exact pairwise maximum distance over an array of complex points (O(n^2)).
+
+    When every coordinate lies below 1/2 in magnitude, the points are first
+    scaled up by a power of two, which is exact and keeps the squared
+    distances of a tiny arc from underflowing.
+    """
     z = np.asarray(pts, dtype=complex).ravel()
     if not z.size:
         raise DomainError("empty arc")
+    k = max(0, -math.frexp(float(np.max(np.abs([z.real, z.imag]))))[1])
+    x, y = np.ldexp(z.real, k), np.ldexp(z.imag, k)
     best = 0.0
     block = 512
     for i in range(0, z.size, block):
-        dx = z.real[i : i + block, None] - z.real[None, :]
-        dy = z.imag[i : i + block, None] - z.imag[None, :]
+        dx = x[i : i + block, None] - x[None, :]
+        dy = y[i : i + block, None] - y[None, :]
         best = max(best, float(np.sqrt(dx * dx + dy * dy).max()))
-    return best
+    return math.ldexp(best, -k)
 
 
 @dataclass(frozen=True)
@@ -91,7 +99,10 @@ def _image_arc_x1_max(t: float, params) -> float:
         w = _cusp_image(x1)
         return math.hypot(w.real, w.imag) > t
 
-    return _last_inside(beyond_t, 1e-12, _depth_at_one(params))
+    # |w| is about x1 near the tip, so x1 = t/2 lies inside; t >= 1e-12 keeps
+    # the bracket [1e-12, depth(1)], and with it the bits of its cutoff
+    lo = 1e-12 if t >= 1e-12 else 0.5 * t
+    return _last_inside(beyond_t, lo, _depth_at_one(params))
 
 
 def preimage_arc(t: float, chain: MapChain, n: int) -> PreimageArc:
@@ -110,7 +121,10 @@ def preimage_arc(t: float, chain: MapChain, n: int) -> PreimageArc:
         raise DomainError("preimage arc needs the full chain (cusp stage missing)")
     params = chain.params
     x1_max = _image_arc_x1_max(t, params)
-    x1 = np.exp(np.linspace(math.log(x1_max) - 60.0 * math.log(2.0), math.log(x1_max), n)).tolist()
+    x1 = np.exp(np.linspace(math.log(x1_max) - 60.0 * math.log(2.0), math.log(x1_max), n))
+    # below t of about 3e-306 the deepest samples would underflow to 0, which
+    # depth_inverse_log rejects
+    x1 = np.maximum(x1, math.ulp(0.0)).tolist()
 
     image = np.array([_cusp_image(a) for a in x1])
     # math.exp, not np.exp: the two can differ in the last bit

@@ -3,6 +3,13 @@
 Every floating-point number is written with 17 significant digits, enough to
 round-trip any double exactly; identical inputs therefore produce
 byte-identical files.
+
+That conversion is nearly all the cost of writing a table, so no double is
+converted twice where the input shows a repeat. A column of a 2-D float
+array whose bit patterns repeat has each distinct pattern formatted once and
+its cells put back by index; a column without repeats, and every CSV row
+sequence, goes through a single `%` template. JSON lists of finite Python
+floats are written through one template each.
 """
 
 from __future__ import annotations
@@ -35,13 +42,48 @@ def _cell(v) -> str:
 _CONVERSIONS = {float: "%.17g", np.float64: "%.17g", int: "%d", np.int64: "%d", str: "%s"}
 
 
+# rows of a float array per `%` call, so that per-cell Python objects exist
+# for one block at a time, never for the whole table
+_BLOCK_ROWS = 256
+
+
+def _float_table_blocks(rows) -> list:
+    """The text of a 2-D float64 array in blocks of _BLOCK_ROWS rows, each
+    row beginning with a newline.
+
+    A column whose bit patterns repeat (keyed on bits, not values: 0.0 and
+    -0.0 print differently) has every distinct pattern formatted once; its
+    cells are those shared strings, picked by index.
+    """
+    n, m = rows.shape
+    conversions, columns = [], []
+    for col in rows.T:
+        keys, index = np.unique(col.view(np.uint64), return_inverse=True)
+        if len(keys) < n:
+            text = "\n".join(["%.17g"] * len(keys)) % tuple(keys.view(np.float64).tolist())
+            conversions.append("%s")
+            columns.append((np.array(text.split("\n"), dtype=object), index))
+        else:
+            conversions.append("%.17g")
+            columns.append((None, col))
+    line = "\n" + ",".join(conversions)
+    cells = np.empty((min(n, _BLOCK_ROWS), m), dtype=object)
+    blocks = []
+    for start in range(0, n, _BLOCK_ROWS):
+        block = cells[: min(n - start, _BLOCK_ROWS)]
+        stop = start + len(block)
+        for j, (strings, values) in enumerate(columns):
+            block[:, j] = values[start:stop] if strings is None else strings[values[start:stop]]
+        blocks.append((line * len(block)) % tuple(block.ravel().tolist()))
+    return blocks
+
+
 def csv_text(header, rows) -> str:
     """CSV text of a header and rows: row sequences, or a 2-D float ndarray
     (written as its .tolist() would be)."""
     if isinstance(rows, np.ndarray):
         if rows.dtype == np.float64 and rows.ndim == 2 and rows.size:
-            line = "\n" + ",".join(["%.17g"] * rows.shape[1])
-            return ",".join(header) + (line * len(rows)) % tuple(rows.ravel().tolist()) + "\n"
+            return "".join([",".join(header), *_float_table_blocks(rows), "\n"])
         rows = rows.tolist()
     lines = [",".join(header)]
     templates = {}
@@ -56,8 +98,17 @@ def csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite_floats(v) -> bool:
+    """True for a non-empty sequence of plain, finite Python floats, which
+    `%.17g` writes as _json_value would, one by one. (An inf or nan makes the
+    sum non-finite; a sum that overflows only sends v down the slow path.)"""
+    return set(map(type, v)) == {float} and math.isfinite(sum(v))
+
+
 def _json_value(v, out) -> None:
-    if v is None:
+    if isinstance(v, (list, tuple)) and _finite_floats(v):
+        out.append("[" + ",".join(["%.17g"] * len(v)) % tuple(v) + "]")
+    elif v is None:
         out.append("null")
     elif isinstance(v, bool):
         out.append("true" if v else "false")

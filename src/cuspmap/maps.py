@@ -16,6 +16,7 @@ of its unit-circle restriction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -277,6 +278,14 @@ class TraceRow:
     x1: float
     x2: float
     residual: float  # x1 - t, expected O(t^2)
+
+
+def _over_square(x: float, t: float) -> float:
+    """x / t^2, also where t^2 is no longer a normal double: there x / t / t
+    gives the true quotient (inf, or 0 for x = 0) in place of a division by
+    an inexact or zero square."""
+    t2 = t**2
+    return x / t2 if t2 >= sys.float_info.min else x / t / t
 
 
 def boundary_image_trace(t_values) -> list:

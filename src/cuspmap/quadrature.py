@@ -231,8 +231,9 @@ def _integral_reports(kind, parameters, transform, scheme, chain) -> list:
         lk = log_k(us, ts)
         for parameter, increments in zip(parameters, log_increments):
             # one row of node terms per annulus; the annulus value is its logsumexp
-            contribs = (transform(parameter, lk) + 2.0 * us + lwu + lwt).reshape(len(us), -1)
-            if np.any(np.isnan(contribs)):
+            with np.errstate(over="ignore"):  # an overflow is reported below
+                contribs = (transform(parameter, lk) + 2.0 * us + lwu + lwt).reshape(len(us), -1)
+            if not np.isfinite(contribs).all():
                 raise NodeError("non-finite integrand at a quadrature node")
             increments += _logsumexp(contribs)
     return [_report(kind, parameter, scheme, increments)

@@ -732,6 +732,8 @@ def test_preimage_diameter_bound_formula():
     assert preimage_diameter_bound_log(0.1, 1.0, 1.0) == pytest.approx(-100.0, rel=1e-14)
     # deep underflow: the bound itself is below the subnormals, its log stays exact
     assert preimage_diameter_bound_log(0.01, 1.0, 1.0) == pytest.approx(-1e4, rel=1e-14)
+    # past the largest double the log is -inf, not an OverflowError
+    assert preimage_diameter_bound_log(1e-200, 1.0, 1.0) == -math.inf
     for lam, eps, c, ct, d in ((0.5, 2.0, 1.1, 0.9, 0.35),):
         independent = c * math.exp(-ct / d ** ((1.0 + eps) / lam))
         assert preimage_diameter_bound_log(d, lam, eps, c, ct) == pytest.approx(

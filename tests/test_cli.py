@@ -6,12 +6,16 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cuspmap import cli
 from cuspmap.cli import main
+from cuspmap.distortion import distortion_table
+from cuspmap.profile import ProfileParams
 from cuspmap.verify import select_criteria
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -416,10 +420,46 @@ def test_distortion_field_csv_finite_down_to_1e_300(capsys):
 
 
 def test_numeric_error_exit_code(capsys):
-    # t^2 underflows to 0 in the capacity_over_t2 column
-    code = main(["capacity", "theorem1", "--t", "1e-200", "--resolution", "16",
-                 "--arc-samples", "2"])
+    # p log K overflows at the quadrature nodes
+    code = main(["integrate", "--kpow", "1e308"])
     assert code == 3
+
+
+@pytest.mark.parametrize("flag", ["--kpow", "--explambda"])
+def test_overflowing_log_integrand_is_a_numeric_failure(flag, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["integrate", flag, "1e308"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "non-finite integrand" in captured.err
+
+
+def test_cutoffs_whose_square_underflows(capsys):
+    code, out = run(["capacity", "theorem1", "--t", "1e-200", "--resolution", "16",
+                     "--arc-samples", "2"], capsys)
+    assert code == 0
+    (row,) = rows_of(out)[1]
+    assert float(row["capacity_over_t2"]) == math.inf
+    assert float(row["diam_image_arc"]) <= 1e-200 * (1.0 + 1e-13)
+    code, out = run(["map", "trace-boundary", "--t", "1e-300"], capsys)
+    assert code == 0
+    (row,) = rows_of(out)[1]
+    assert float(row["residual"]) == 0.0 and float(row["residual_over_t2"]) == 0.0
+
+
+def test_distortion_field_csv_is_the_per_cell_rendering_of_the_table(capsys):
+    code, out = run(["distortion", "field", "--nr", "64", "--ntheta", "64",
+                     "--format", "csv"], capsys)
+    assert code == 0
+    rs = np.geomspace(1e-8, 1.0, 64)
+    thetas = -math.pi / 2.0 + 2.0 * math.pi * (np.arange(64) + 0.5) / 64
+    r, theta = np.meshgrid(rs, thetas, indexing="ij")
+    table = distortion_table(np.log(r), theta, ProfileParams())
+    columns = [v.ravel().tolist() for v in (r, theta, *table)]
+    expected = "r,theta,op_norm,jac_det,K\n" + "".join(
+        ",".join(format(v, ".17g") for v in row) + "\n" for row in zip(*columns))
+    assert out == expected
 
 
 def test_repeated_calls_share_one_parser_and_leak_no_state(tmp_path, capsys):

@@ -96,6 +96,26 @@ def test_arc_diameter_approaches_t():
 
 
 
+@pytest.mark.parametrize("t", [1e-13, 1e-100, 1e-300])
+def test_arc_below_1e_12_reaches_its_cutoff(t):
+    # the bracket used to start at 1e-12, so every such arc reached 9.99999999999e-13;
+    # slack: the outermost sample is exp(log x1_max), a few ulps of t either way
+    top = max(abs(complex(w)) for w in image_arc(t, 16))
+    assert t * (1.0 - 1e-13) <= top <= t * (1.0 + 1e-13)
+    assert arc_diameter(image_arc(t, 16)) == pytest.approx(t, rel=1e-13)
+
+
+def test_arc_whose_deepest_samples_underflow():
+    # t * 2^-60 is below the smallest double: those samples stay at 5e-324
+    image = image_arc(1e-310, 16)
+    assert np.all(np.abs(image) > 0.0) and np.max(np.abs(image)) <= 2e-310
+
+
+def test_arc_diameter_of_a_tiny_arc_does_not_underflow():
+    assert arc_diameter([0j, 3e-200 + 4e-200j]) == 5e-200
+    assert arc_diameter([5e-324, 1e-323j]) == math.hypot(5e-324, 1e-323)
+
+
 def test_membership_consistency_with_arc():
     # each sample is the final-stage image of a point (x1, +-e^{-1/x1}) on the
     # boundary of the strip {|x2| < e^{-1/x1}}, compared in log space; samples

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspmap import io_formats
 from cuspmap.io_formats import csv_text, fmt17, json_text, pgm_bytes
 
 
@@ -113,3 +114,62 @@ def test_csv_of_other_arrays_equals_their_row_lists():
                   np.array([[1e20, 2.0]])[:, :0]):
         header = ["a", "b"]
         assert csv_text(header, array) == csv_text(header, array.tolist())
+
+
+# Few distinct doubles, so that cells repeat within and across columns. 0.0
+# and -0.0 print differently, every NaN (quiet, signed, with a payload) as nan.
+NAN_PAYLOAD = float(np.array(0x7FF8000000000001, dtype=np.uint64).view(np.float64))
+POOL = [0.0, -0.0, math.nan, -math.nan, NAN_PAYLOAD, math.inf, -math.inf,
+        5e-324, -2.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
+        -1.7976931348623157e308, 0.1, -1.0 / 3.0, 1e-300, 123.5]
+pooled = st.sampled_from(POOL)
+# a column either draws from the pool (repeats) or from all doubles (mostly distinct)
+columns = st.one_of(st.just(pooled), st.just(floats))
+
+
+@SETTINGS
+@given(st.integers(1, 40).flatmap(lambda n: st.lists(columns, min_size=1, max_size=5).flatmap(
+    lambda cols: st.lists(st.tuples(*cols), min_size=n, max_size=n))))
+def test_csv_of_a_float_array_with_repeats_writes_the_per_cell_bytes(rows):
+    array = np.array(rows, dtype=float)
+    header = [f"c{i}" for i in range(array.shape[1])]
+    expected = reference_csv(header, rows)
+    assert csv_text(header, array) == expected
+    assert csv_text(header, array.tolist()) == expected
+
+
+def test_csv_of_a_float_array_across_row_blocks():
+    rng = np.random.default_rng(5)
+    n = 3 * io_formats._BLOCK_ROWS + 17
+    array = np.column_stack([
+        rng.choice(np.array(POOL), n),        # pool values: repeats
+        rng.standard_normal(n),                # no repeats
+        np.repeat(rng.standard_normal(7), n // 7 + 1)[:n],
+        np.where(rng.random(n) < 0.5, 0.0, -0.0),
+    ])
+    header = ["pool", "normal", "runs", "zeros"]
+    assert csv_text(header, array) == reference_csv(header, array.tolist())
+
+
+def reference_json(v):
+    """Per-item reference of json_text for a list of scalars."""
+    def item(x):
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        if isinstance(x, int):
+            return str(x)
+        text = format(x, ".17g")
+        return text if math.isfinite(x) else f'"{text}"'
+    return "[" + ",".join(item(x) for x in v) + "]\n"
+
+
+@SETTINGS
+@given(st.lists(st.one_of(pooled, floats, pooled.map(np.float64), st.integers(-5, 5),
+                          st.booleans()), max_size=12))
+def test_json_float_lists_write_the_per_item_bytes(values):
+    assert json_text(values) == reference_json(values)
+    assert json_text(tuple(values)) == reference_json(values)
+    finite = [float(x) for x in values if math.isfinite(x)]
+    inner = reference_json(finite).rstrip("\n")
+    assert json_text(finite) == inner + "\n"
+    assert json_text({"v": [finite, finite]}) == '{"v":[%s,%s]}\n' % (inner, inner)

@@ -1,0 +1,95 @@
+"""sha256 of every artifact and CLI output file, for a byte diff of two checkouts.
+
+    python3 tools/artifact_digests.py OUTDIR [--src SRC]
+
+Runs, each in its own process and writing through `--out` into OUTDIR:
+`cuspmap verify`, every `cuspmap` example of the README's "Command line"
+block, and the CLI commands of perfbench's certify workload (`map sample
+--random 2000 --roundtrip`, the two `distortion field` runs and the eight
+`integrate --geometric-depth 65536`). The package is imported from SRC,
+by default the `src` directory of this checkout; the command list always
+comes from this checkout. Prints one `sha256  path` line per file, paths
+relative to OUTDIR, sorted. A command that exits with an unexpected code
+is named on stderr and makes the script exit 1.
+
+To compare a change with its parent, run it once per source tree on fresh
+directories and diff the two listings:
+
+    python3 tools/artifact_digests.py /tmp/change > change.txt
+    python3 tools/artifact_digests.py --src ../parent/src /tmp/parent > parent.txt
+    diff parent.txt change.txt
+
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CERTIFY = [
+    ["map", "sample", "--random", "2000", "--roundtrip", "--seed", "1"],
+    ["distortion", "field", "--r-min", "1e-8", "--nr", "64", "--ntheta", "64", "--format", "csv"],
+    ["distortion", "field", "--r-min", "1e-300", "--nr", "64", "--ntheta", "64", "--format", "pgm"],
+    *(["integrate", "--kpow", p, "--geometric-depth", "65536"] for p in ("0.5", "1", "2", "4", "8")),
+    *(["integrate", "--explambda", v, "--geometric-depth", "65536"] for v in ("0.01", "0.1", "1")),
+]
+
+
+def readme_commands() -> list:
+    """argv of each `cuspmap` example in the README's "Command line" block,
+    without the `verify` synopsis (verify runs separately)."""
+    block = (ROOT / "README.md").read_text().split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("cuspmap ") and not line.startswith("cuspmap verify")]
+
+
+def jobs(out_dir: Path) -> list:
+    """(argv, expected exit codes) of every command, each with its --out."""
+    todo = [(["verify", "--out", str(out_dir / "verify")], (0, 1))]
+    for group, commands in (("readme", readme_commands()), ("certify", CERTIFY)):
+        for i, argv in enumerate(commands, 1):
+            name = f"{i:02d}_" + re.sub(r"[^A-Za-z0-9.=,-]+", "_", " ".join(argv)).strip("_")
+            if "--out" in argv:  # the README's PGM example names its own file
+                argv = argv[:argv.index("--out")] + argv[argv.index("--out") + 2:]
+            todo.append((argv + ["--out", str(out_dir / group / name)], (0,)))
+    return todo
+
+
+def digests(out_dir: Path) -> list:
+    return sorted(
+        (str(path.relative_to(out_dir)), hashlib.sha256(path.read_bytes()).hexdigest())
+        for path in out_dir.rglob("*") if path.is_file())
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("out_dir", type=Path, help="directory for the outputs (created)")
+    p.add_argument("--src", type=Path, default=ROOT / "src",
+                   help="directory holding the cuspmap package (default: this checkout's src)")
+    args = p.parse_args(argv)
+    for group in ("readme", "certify"):
+        (args.out_dir / group).mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(args.src.resolve()))
+    failed = False
+    for command, expected in jobs(args.out_dir):
+        code = subprocess.run([sys.executable, "-m", "cuspmap", *command], env=env,
+                              stdout=subprocess.DEVNULL).returncode
+        if code not in expected:
+            print(f"exit {code}: cuspmap {shlex.join(command)}", file=sys.stderr)
+            failed = True
+    for rel, digest in digests(args.out_dir):
+        print(f"{digest}  {rel}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
