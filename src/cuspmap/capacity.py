@@ -17,15 +17,17 @@ Three layers:
     only the preconditioner, a multigrid V-cycle, runs in float32, on flat
     contiguous levels padded to even sides. Its rounding can cost CG an
     iteration or two, but not accuracy. Each product is one pass of numpy's
-    einsum, never BLAS, so the bits do not depend on the thread count. A
-    condenser that is its own mirror image along a grid axis is solved on
-    one half of that axis: the annulus on a quarter grid, the tip condenser
-    on a half grid.
+    einsum, never BLAS, so the bits do not depend on the thread count; their
+    views are taken once per solve. A condenser that is its own mirror image
+    along a grid axis is solved on one half of that axis: the annulus on a
+    quarter grid, the tip condenser on a half grid, whose 1/K is sampled
+    only on the edges the solve reads, on one half of the disk.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -193,6 +195,10 @@ class GridSolverConfig:
             raise DomainError("tolerance must be positive")
 
 
+# The most nodes of a grid: a solve holds about a dozen float64 arrays that long, 1.6 GB
+_MAX_GRID_NODES = 2**24
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Uniform node grid: node (i, j) sits at (x0 + i h, y0 + j h); see `axes`."""
@@ -219,29 +225,36 @@ class Grid2D:
 
     @classmethod
     def square(cls, half_extent: float, resolution: int) -> "Grid2D":
-        h = 1.0 / resolution
-        n = 2 * int(math.ceil(half_extent / h)) + 1
+        """The grid covering [-half_extent, half_extent]^2 at `resolution` cells per
+        unit; DomainError, before any array exists, past _MAX_GRID_NODES nodes."""
+        h = 1.0 / resolution if resolution <= sys.float_info.max else 0.0
+        cells = half_extent / h if h else math.inf
+        n = 2 * int(math.ceil(cells)) + 1 if cells <= _MAX_GRID_NODES else math.inf
+        if n * n > _MAX_GRID_NODES:
+            raise DomainError(f"a grid would hold more than {_MAX_GRID_NODES} nodes")
         x0 = -h * (n - 1) / 2.0
         return cls(x0=x0, y0=x0, h=h, nx=n, ny=n)
 
 
-# Grid rows per call of a weight function: 1/K holds about 20 arrays of its
-# input's size in temporaries, so a whole-grid call would need more memory
-# than the solve.
+# Grid rows' worth of points per call of a weight function: 1/K holds about
+# 20 arrays of its input's size in temporaries, so a whole-grid call would
+# need more memory than the solve.
 _WEIGHT_ROWS = 32
 
 
-def _edge_midpoint_weights(grid: Grid2D, weight):
-    """Weight arrays on x-edges (nx-1, ny) and y-edges (nx, ny-1)."""
+def _edge_midpoint_weights(grid: Grid2D, weight, where):
+    """Weight arrays on x-edges (nx-1, ny) and y-edges (nx, ny-1), sampled at the
+    midpoints of the edges with both ends in the node mask `where`, 0 elsewhere."""
     if weight is None:
         return np.ones((grid.nx - 1, grid.ny)), np.ones((grid.nx, grid.ny - 1))
     xs, ys = grid.axes()
     out = []
-    for x, y in ((0.5 * (xs[:-1] + xs[1:]), ys), (xs, 0.5 * (ys[:-1] + ys[1:]))):
-        w = np.empty((x.size, y.size))
-        for i in range(0, x.size, _WEIGHT_ROWS):
-            block = np.meshgrid(x[i : i + _WEIGHT_ROWS], y, indexing="ij")
-            w[i : i + _WEIGHT_ROWS] = weight(*block)
+    for x, y, keep in ((0.5 * (xs[:-1] + xs[1:]), ys, where[:-1, :] & where[1:, :]),
+                       (xs, 0.5 * (ys[:-1] + ys[1:]), where[:, :-1] & where[:, 1:])):
+        w, k = np.zeros(keep.shape), np.flatnonzero(keep)
+        for part in np.split(k, range(_WEIGHT_ROWS * grid.ny, k.size, _WEIGHT_ROWS * grid.ny)):
+            i, j = np.divmod(part, y.size)
+            w.flat[part] = weight(x[i], y[j])
         out.append(w)
     return tuple(out)
 
@@ -274,31 +287,40 @@ class _Level:
     they hold never reach another row. `smooth` is the damped inverse
     diagonal, 0 on such nodes; `x`, `rhs`, `res` and `tmp` are the V-cycle's
     buffers, and `res` and `tmp` (one entry longer, for `apply`) are views of
-    one buffer that all levels share.
+    one buffer that all levels share. `down` and `up` hold the views the
+    V-cycle works through on this level, taken once by `_hierarchy`.
     """
 
     def __init__(self, shape, wx, wy, gidx, gval):
         self.shape, self.wx, self.wy, self.gidx, self.gval = shape, wx, wy, gidx, gval
-        self.smooth = self.x = self.rhs = self.res = self.tmp = None
+        self.smooth = self.x = self.rhs = self.res = self.tmp = self.down = self.up = None
 
     def apply(self, u, out):
-        n, n1 = u.size, self.shape[1]
-        # y-fluxes between zero ends: out_k = flux_{k-1} - flux_k in one pass,
-        # the bits of -flux_k + flux_{k-1}; -0.0 matches even a zero's sign
-        pad = self.tmp[: n + 1]
-        pad[0] = pad[n] = -0.0
-        flux = np.subtract(u[1:], u[:-1], out=pad[1:n])
-        flux *= self.wy[:-1]
-        np.subtract(pad[:-1], pad[1:], out=out)
-        flux = np.subtract(u[n1:], u[:-n1], out=self.tmp[: n - n1])
-        flux *= self.wx[:-n1]
-        out[:-n1] -= flux
-        out[n1:] += flux
-        out[self.gidx] += self.gval * u[self.gidx]
-        return out
+        return self.bind(u, out)()
 
-    def residual(self, x):
-        return np.subtract(self.rhs, self.apply(x, self.res), out=self.res)
+    def bind(self, u, out):
+        """apply(u, out) as a function of no arguments, its slices taken once."""
+        n, n1, gidx, gval = u.size, self.shape[1], self.gidx, self.gval
+        # y-fluxes between zero ends: out_k = flux_{k-1} - flux_k in one pass,
+        # the bits of -flux_k + flux_{k-1}; -0.0 matches even a zero's sign.
+        # The ends are written on every call: the levels' tmp views overlap.
+        pad = self.tmp[: n + 1]
+        y = (u[1:], u[:-1], pad[1:n], self.wy[:-1], pad[:-1], pad[1:])
+        x = (u[n1:], u[:-n1], self.tmp[: n - n1], self.wx[:-n1], out[:-n1], out[n1:])
+
+        def run():
+            pad[0] = pad[n] = -0.0
+            hi, lo, flux, w, a, b = y
+            np.multiply(np.subtract(hi, lo, out=flux), w, out=flux)
+            np.subtract(a, b, out=out)
+            hi, lo, flux, w, a, b = x
+            np.multiply(np.subtract(hi, lo, out=flux), w, out=flux)
+            np.subtract(a, flux, out=a)
+            np.add(b, flux, out=b)
+            out[gidx] += gval * u[gidx]
+            return out
+
+        return run
 
     def coarse(self):
         """The Galerkin product P^T A P for piecewise-constant P over 2x2 aggregates.
@@ -401,7 +423,8 @@ def _hierarchy(fine):
     """The V-cycle's float32 levels, finest first, with their work buffers.
 
     Their `res` and `tmp` share the memory of the float64 level's `tmp`,
-    which the V-cycle and the CG products use in turn.
+    which the V-cycle and the CG products use in turn. The buffers stay put
+    from here on, so the views `_precondition` works through are taken here.
     """
     levels = [_Level(fine.shape, fine.wx.astype(np.float32), fine.wy.astype(np.float32),
                      fine.gidx, fine.gval.astype(np.float32))]
@@ -415,33 +438,39 @@ def _hierarchy(fine):
         level.x = np.empty(size, np.float32)
         level.rhs = np.zeros(size, np.float32)  # padding stays 0
         level.res, level.tmp = shared[:size], shared[n : n + size + 1]
+    for level, coarse in zip(levels, levels[1:]):
+        (n0, n1), apply = level.shape, level.bind(level.x, level.res)
+        m0, m1 = n0 // 2, n1 // 2
+        rows = level.res.reshape(m0, 2 * n1)
+        pairs = level.tmp[: m0 * n1].reshape(m0, m1, 2)
+        level.down = (apply, rows[:, :n1], rows[:, n1:], pairs.reshape(m0, n1), pairs[..., 0],
+                      pairs[..., 1], coarse.rhs.reshape(coarse.shape)[:m0, :m1])
+        level.up = (apply, coarse.x, coarse.x.reshape(coarse.shape)[:m0, :m1], pairs[..., 0],
+                    pairs[..., 1], level.x.reshape(m0, 2, n1), pairs.reshape(m0, 1, n1))
     return levels
 
 
-def _precondition(levels, k=0):
-    """Symmetric V-cycle on levels[k].rhs from a zero start; the result is levels[k].x."""
-    level = levels[k]
-    x = np.multiply(level.smooth, level.rhs, out=level.x)
-    if k == len(levels) - 1:
-        return x
-    coarse = levels[k + 1]
-    n0, n1 = level.shape
-    m0, m1 = n0 // 2, n1 // 2
+def _precondition(levels):
+    """Symmetric V-cycle on levels[0].rhs from a zero start; the result is levels[0].x."""
     # restriction: sums over 2x2 aggregates, first of row pairs, then of column pairs
-    rows = level.residual(x).reshape(m0, 2 * n1)
-    pairs = np.add(rows[:, :n1], rows[:, n1:], out=level.tmp[: m0 * n1].reshape(m0, n1))
-    pairs = pairs.reshape(m0, m1, 2)
-    np.add(pairs[..., 0], pairs[..., 1], out=coarse.rhs.reshape(coarse.shape)[:m0, :m1])
-    xc = _precondition(levels, k + 1)
-    xc *= _COARSE_SCALE
-    xc = xc.reshape(coarse.shape)[:m0, :m1]
+    for level in levels[:-1]:
+        apply, lo, hi, pairs, even, odd, coarse_rhs = level.down
+        np.multiply(level.smooth, level.rhs, out=level.x)
+        np.subtract(level.rhs, apply(), out=level.res)
+        np.add(lo, hi, out=pairs)
+        np.add(even, odd, out=coarse_rhs)
+    last = levels[-1]
+    np.multiply(last.smooth, last.rhs, out=last.x)
     # prolongation: one row of column pairs, added to both rows of each pair
-    row = level.tmp[: m0 * n1].reshape(m0, m1, 2)
-    row[..., 0] = xc
-    row[..., 1] = xc
-    x.reshape(m0, 2, n1)[...] += row.reshape(m0, 1, n1)
-    x += np.multiply(level.smooth, level.residual(x), out=level.res)
-    return x
+    for level in levels[-2::-1]:
+        apply, xc, window, even, odd, blocks, row = level.up
+        np.multiply(xc, _COARSE_SCALE, out=xc)
+        np.copyto(even, window)
+        np.copyto(odd, window)
+        np.add(blocks, row, out=blocks)
+        res = np.subtract(level.rhs, apply(), out=level.res)
+        np.add(level.x, np.multiply(level.smooth, res, out=res), out=level.x)
+    return levels[0].x
 
 
 def _norm(r, lines):
@@ -476,6 +505,7 @@ def _pcg(fine, r, cfg: GridSolverConfig, lines=()):
     u = np.zeros_like(r)
     ap = np.empty_like(r)
     p = precondition().astype(r.dtype)
+    product, step = fine.bind(p, ap), fine.tmp[: u.size]
     rz = _dot(r, p)
     b_norm = r_norm = _norm(r, lines)
     threshold = cfg.tolerance * max(b_norm, 1e-300)
@@ -486,9 +516,9 @@ def _pcg(fine, r, cfg: GridSolverConfig, lines=()):
                 f"CG residual {r_norm:.3e} above {threshold:.3e} "
                 f"after {cfg.max_iterations} iterations"
             )
-        fine.apply(p, ap)
+        product()
         alpha = rz / _dot(p, ap)
-        u += np.multiply(alpha, p, out=fine.tmp[: u.size])
+        u += np.multiply(alpha, p, out=step)
         r -= np.multiply(alpha, ap, out=ap)
         z = ap  # free until the next A p: z in float64 for the products
         np.copyto(z, precondition())
@@ -542,9 +572,10 @@ def grid_capacity(weight, F_mask, E_mask, domain_mask, grid: Grid2D,
     """Minimize the discrete weighted Dirichlet energy with u=0 on F, u=1 on E.
 
     5-point stencil; `weight` is weight(x, y) vectorized over arrays (None for
-    the unweighted problem), sampled at edge midpoints, or a pair (wx, wy) of
-    x- and y-edge weights already sampled on this grid. Edges with either end
-    outside the domain are dropped (natural boundary). Conjugate gradients in
+    the unweighted problem), sampled at the midpoints of the edges with both
+    ends in the domain, or a pair (wx, wy) of x- and y-edge weights already
+    sampled on this grid. Edges with either end outside the domain are
+    dropped (natural boundary). Conjugate gradients in
     float64 preconditioned by a float32 multigrid V-cycle, from a zero start,
     stopped when the unpreconditioned residual falls to `cfg.tolerance`
     relative to the right-hand side; the estimate records the iterations and
@@ -572,7 +603,7 @@ def grid_capacity(weight, F_mask, E_mask, domain_mask, grid: Grid2D,
     if (F & ~dom).any() or (E & ~dom).any():
         raise MaskError("plates must be contained in the domain")
 
-    wx, wy = weight if isinstance(weight, tuple) else _edge_midpoint_weights(grid, weight)
+    wx, wy = weight if isinstance(weight, tuple) else _edge_midpoint_weights(grid, weight, dom)
     if wx.shape != (grid.nx - 1, grid.ny) or wy.shape != (grid.nx, grid.ny - 1):
         raise MaskError("edge weight shapes must match the grid")
     # min is NaN if any entry is, and the empty weights of a one-node-wide grid pass
@@ -608,15 +639,15 @@ def grid_capacity(weight, F_mask, E_mask, domain_mask, grid: Grid2D,
     return CapacityEstimate(value=energy, iterations=iterations, residual=residual)
 
 
-def _check_annulus(rho: float, R: float) -> None:
+def _annulus_grid(rho: float, R: float, resolution: int) -> Grid2D:
     if not (0.0 < rho < R < math.inf):
         raise DomainError(f"need 0 < rho < R < inf, got ({rho}, {R})")
+    return Grid2D.square(R * 1.02, resolution)
 
 
 def annulus_condenser(rho: float, R: float, resolution: int):
     """Grid and masks for the classical annulus condenser (F = inner disk)."""
-    _check_annulus(rho, R)
-    grid = Grid2D.square(R * 1.02, resolution)
+    grid = _annulus_grid(rho, R, resolution)
     X, Y = grid.nodes()
     rr = np.hypot(X, Y)
     dom = rr <= R + grid.h
@@ -690,13 +721,19 @@ def experiment_table(rows):
     return [f.name for f in fields(ExperimentRow)], [astuple(r) for r in rows]
 
 
+def _tip_grid(resolution: int) -> Grid2D:
+    return Grid2D.square(1.0, resolution)  # over the source disk
+
+
 def tip_capacity_experiment(t_list, chain: MapChain, cfg: GridSolverConfig,
                             arc_samples: int = 64) -> list:
     """Pullback condenser capacities for a shrinking tip arc.
 
     For each cutoff t: the image boundary arc within |w| <= t is pulled back
     to the source disk, paired against the central disk of radius 1/4, and
-    the 1/K-weighted grid capacity of that condenser is solved. The row also
+    the 1/K-weighted grid capacity of that condenser is solved; 1/K is
+    sampled once, on the edges inside the disk with y <= 0, and mirrored
+    (the solve reads no other edge). The row also
     carries both arc diameters (the preimage one additionally as a log value,
     since it collapses double-exponentially), the classical lower-bound
     formula at the preimage log-diameter with its log (finite after the bound
@@ -711,12 +748,18 @@ def tip_capacity_experiment(t_list, chain: MapChain, cfg: GridSolverConfig,
     if not chain.has_cusp():
         raise DomainError("experiment needs the full chain")
 
-    grid = Grid2D.square(1.0, cfg.resolution)
+    grid = _tip_grid(cfg.resolution)
     rr = np.hypot(*grid.nodes())
     dom = rr < 1.0
     F = rr <= 0.25
-    weights = _edge_midpoint_weights(
-        grid, lambda x, y: 1.0 / chain_distortion_values(x + 1j * y, chain))
+    # the solve reads only edges inside dom; K(conj z) = K(z) and the node
+    # coordinates mirror about y = 0, so sample the half y <= 0 and mirror it
+    m = grid.ny // 2
+    wx, wy = weights = _edge_midpoint_weights(
+        grid, lambda x, y: 1.0 / chain_distortion_values(x + 1j * y, chain),
+        dom & (np.arange(grid.ny) <= m))
+    wx[:, m + 1 :] = wx[:, m - 1 :: -1]
+    wy[:, m:] = wy[:, m - 1 :: -1]
     # the nearest node to a point lies between the midpoints around it
     x_cuts, y_cuts = (0.5 * (a[:-1] + a[1:]) for a in grid.axes())
 

@@ -19,8 +19,9 @@ import numpy as np
 from . import __version__
 from .capacity import (
     GridSolverConfig,
-    _check_annulus,
+    _annulus_grid,
     _check_test_radii,
+    _tip_grid,
     annulus_condenser,
     cusp_test_energy,
     experiment_table,
@@ -467,7 +468,9 @@ def main(argv=None) -> int:
         if key == ("capacity", "test-fn"):
             _check_test_radii(args.r, args.d)
         elif key == ("capacity", "grid"):
-            _check_annulus(*args.annulus)
+            _annulus_grid(*args.annulus, args.resolution)
+        elif key == ("capacity", "theorem1"):
+            _tip_grid(args.resolution)
     except DomainError as exc:
         parser.error(exc.args[0])
     if key == ("capacity", "theorem1") and len(set(args.t)) < len(args.t):

@@ -277,7 +277,7 @@ class TraceRow:
     t: float
     x1: float
     x2: float
-    residual: float  # x1 - t, expected O(t^2)
+    residual: float  # Re w - t in closed form, expected O(t^2)
 
 
 def _over_square(x: float, t: float) -> float:
@@ -296,7 +296,9 @@ def boundary_image_trace(t_values) -> list:
             raise DomainError(f"trace parameter {t!r} outside (0, 1)")
         y = math.exp(-1.0 / t)  # underflows to 0 near the tip
         z = complex(t, y) / complex(1.0 + t, y)
-        rows.append(TraceRow(t=t, x1=z.real, x2=z.imag, residual=z.real - t))
+        # Re z - t without the cancellation of z.real - t
+        residual = (y * y * (1.0 - t) - t * t * (1.0 + t)) / ((1.0 + t) ** 2 + y * y)
+        rows.append(TraceRow(t=t, x1=z.real, x2=z.imag, residual=residual))
     return rows
 
 

@@ -304,7 +304,7 @@ def test_preconditioned_solver_matches_plain_cg_on_rectangular_grids(nx, ny):
     # odd sides are padded to even ones inside the solver
     grid, weight, F, E, dom = rectangular_condenser(nx, ny)
     cap = grid_capacity(weight, F, E, dom, grid, GridSolverConfig(resolution=32))
-    wx, wy = capacity_module._edge_midpoint_weights(grid, weight)
+    wx, wy = capacity_module._edge_midpoint_weights(grid, weight, dom)
     reference = reference_cg_energy(wx, wy, F, E, dom)
     assert abs(cap.value - reference) <= 1e-9 * reference
     assert cap.iterations <= 18  # a float64 V-cycle over the same aggregates takes 15
@@ -372,7 +372,7 @@ def unfolded(u, shape, axes):
 def test_folded_solve_matches_plain_cg_on_mirrored_condensers(nx, ny, even_x, even_y, axes,
                                                              monkeypatch):
     grid, weight, F, E, dom = mirrored_condenser(nx, ny, even_x, even_y)
-    wx, wy = capacity_module._edge_midpoint_weights(grid, weight)
+    wx, wy = capacity_module._edge_midpoint_weights(grid, weight, dom)
     assert capacity_module._mirror_axes(F, E, dom, wx, wy) == axes
     calls = recorded_pcg(monkeypatch)
     cap = grid_capacity(weight, F, E, dom, grid, GridSolverConfig(resolution=32))
@@ -455,7 +455,7 @@ def plate_condenser():
     for j in range(20, 31):  # E nodes next to F along a run of columns
         i = np.flatnonzero(F[:, j]).max() + 1
         E[i, j] = True
-    wx, wy = capacity_module._edge_midpoint_weights(grid, weight)
+    wx, wy = capacity_module._edge_midpoint_weights(grid, weight, dom)
     free = dom & ~F & ~E
     i = np.flatnonzero(F[:, 25]).min()
     assert free[i - 1, 25]
@@ -524,10 +524,10 @@ def four_add_vcycle(levels, rhs, k=0):
     return x + level.smooth * (rhs - eight_pass_apply(level, x))
 
 
-def test_stencil_and_v_cycle_are_bit_identical_to_the_plain_formulas():
-    # odd sides padded to even; ground nodes next to both plates
-    grid, (wx, wy), F, E, dom, free = plate_condenser()
-    fine, _, _ = capacity_module._fine_level(wx, wy, F, E, free)
+def assert_stencil_and_v_cycle_bit_identical(fine):
+    """Each level's A u and the V-cycle with the views bound once per solve,
+    against the plain formulas: the V-cycle twice in a row, then once more
+    after a float64 A p product through the buffer the levels share."""
     levels = capacity_module._hierarchy(fine)
     assert fine.gidx.size > 0 and len(levels) > 3
     rng = np.random.default_rng(5)
@@ -538,10 +538,31 @@ def test_stencil_and_v_cycle_are_bit_identical_to_the_plain_formulas():
         out = np.empty_like(u)
         assert level.apply(u, out) is out
         assert out.tobytes() == eight_pass_apply(level, u).tobytes()
-    r = rng.standard_normal(fine.wx.size)
-    np.copyto(levels[0].rhs, r)
-    want = four_add_vcycle(levels, levels[0].rhs.copy())
-    assert capacity_module._precondition(levels).tobytes() == want.tobytes()
+    p, ap = rng.standard_normal(fine.wx.size), np.empty(fine.wx.size)
+    product = fine.bind(p, ap)
+    for run in range(3):
+        if run == 2:
+            assert product() is ap
+            assert ap.tobytes() == eight_pass_apply(fine, p).tobytes()
+        np.copyto(levels[0].rhs, rng.standard_normal(fine.wx.size))
+        want = four_add_vcycle(levels, levels[0].rhs.copy())
+        assert capacity_module._precondition(levels).tobytes() == want.tobytes()
+
+
+def test_stencil_and_v_cycle_are_bit_identical_to_the_plain_formulas():
+    # odd sides padded to even; ground nodes next to both plates
+    grid, (wx, wy), F, E, dom, free = plate_condenser()
+    fine, _, _ = capacity_module._fine_level(wx, wy, F, E, free)
+    assert_stencil_and_v_cycle_bit_identical(fine)
+
+
+def test_stencil_and_v_cycle_are_bit_identical_on_the_folded_tip_level(monkeypatch):
+    calls = recorded_pcg(monkeypatch)
+    tip_capacity_experiment([0.45], MapChain.default(), GridSolverConfig(resolution=48),
+                            arc_samples=24)
+    (fine, _), = calls
+    assert fine.shape == (98, 50)  # 97 x 49 nodes after the fold across y = 0
+    assert_stencil_and_v_cycle_bit_identical(fine)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
@@ -588,18 +609,68 @@ def test_solve_does_not_depend_on_the_blas_thread_count():
     assert outputs[0] == outputs[1] and len(outputs[0]) == 3
 
 
-def test_edge_weights_sampled_in_blocks_equal_one_whole_grid_call():
-    grid = Grid2D.square(1.0, 48)  # 97 rows: several blocks and a short last one
+def whole_grid_inverse_k(grid):
+    """1/K at every edge midpoint of the grid, in one call per direction."""
     chain = MapChain.default()
 
     def weight(x, y):
         return 1.0 / chain_distortion_values(x + 1j * y, chain)
 
     X, Y = grid.nodes()
-    whole_x = weight(0.5 * (X[:-1, :] + X[1:, :]), 0.5 * (Y[:-1, :] + Y[1:, :]))
-    whole_y = weight(0.5 * (X[:, :-1] + X[:, 1:]), 0.5 * (Y[:, :-1] + Y[:, 1:]))
-    wx, wy = capacity_module._edge_midpoint_weights(grid, weight)
+    return weight, (weight(0.5 * (X[:-1, :] + X[1:, :]), 0.5 * (Y[:-1, :] + Y[1:, :])),
+                    weight(0.5 * (X[:, :-1] + X[:, 1:]), 0.5 * (Y[:, :-1] + Y[:, 1:])))
+
+
+def kept_edges(dom):
+    """x- and y-edges with both ends in the node mask dom."""
+    return dom[:-1, :] & dom[1:, :], dom[:, :-1] & dom[:, 1:]
+
+
+def test_edge_weights_sampled_in_blocks_equal_one_whole_grid_call():
+    grid = Grid2D.square(1.0, 48)  # 97 rows: several blocks and a short last one
+    weight, (whole_x, whole_y) = whole_grid_inverse_k(grid)
+    everywhere = np.ones((grid.nx, grid.ny), bool)
+    wx, wy = capacity_module._edge_midpoint_weights(grid, weight, everywhere)
     assert wx.tobytes() == whole_x.tobytes() and wy.tobytes() == whole_y.tobytes()
+    # a smaller node mask: the same bits on the edges inside it, 0 on the others
+    X, Y = grid.nodes()
+    where = np.hypot(X - 0.3, Y) < 0.8
+    kx, ky = kept_edges(where)
+    wx, wy = capacity_module._edge_midpoint_weights(grid, weight, where)
+    assert wx.tobytes() == np.where(kx, whole_x, 0.0).tobytes()
+    assert wy.tobytes() == np.where(ky, whole_y, 0.0).tobytes()
+    assert kx.any() and not kx.all() and ky.any() and not ky.all()
+
+
+@pytest.mark.parametrize("res", [16, 17, 31, 48, 100, 128])
+def test_tip_weights_from_the_half_disk_equal_the_whole_grid_sample(res, monkeypatch):
+    # 1/K is sampled on the edges inside the disk with y <= 0 and mirrored,
+    # which needs K(conj z) = K(z) bit for bit; the other edges get 0
+    solves, points = [], []
+
+    def record(weight, F, E, dom, grid, cfg):
+        solves.append((weight, dom, grid))
+        return capacity_module.CapacityEstimate(1.0)
+
+    def counted(z, chain):
+        points.append(z.size)
+        return chain_distortion_values(z, chain)
+
+    monkeypatch.setattr(capacity_module, "grid_capacity", record)
+    monkeypatch.setattr(capacity_module, "chain_distortion_values", counted)
+    tip_capacity_experiment([0.45], MapChain.default(), GridSolverConfig(resolution=res),
+                            arc_samples=8)
+    ((wx, wy), dom, grid), = solves
+    _, (whole_x, whole_y) = whole_grid_inverse_k(grid)
+    kx, ky = kept_edges(dom)
+    assert wx.tobytes() == np.where(kx, whole_x, 0.0).tobytes()
+    assert wy.tobytes() == np.where(ky, whole_y, 0.0).tobytes()
+    # each kept edge of the half y <= 0 once, in calls of at most 32 grid rows
+    m = grid.ny // 2
+    assert sum(points) == np.count_nonzero(kx[:, : m + 1]) + np.count_nonzero(ky[:, :m])
+    assert max(points) <= 32 * grid.ny
+    if res == 128:
+        assert sum(points) == 51301
 
 
 def test_tip_condenser_solve_is_bit_reproducible(monkeypatch):
@@ -791,6 +862,16 @@ def test_tip_lower_bound_log_stays_finite_where_the_bound_underflows():
     assert rows[0].log_lower_bound_ref == pytest.approx(math.log(rows[0].lower_bound_ref),
                                                         rel=1e-12)
     assert rows[1].log_lower_bound_ref < rows[0].log_lower_bound_ref
+
+
+def test_square_grids_past_the_node_ceiling_are_domain_errors():
+    # a Grid2D holds scalars only: no case here allocates an array
+    ceiling = capacity_module._MAX_GRID_NODES
+    assert Grid2D.square(1.0, 2047).nx ** 2 <= ceiling
+    for half_extent, res in ((1.0, 2048), (1.02, 100000), (1.02e300, 16), (1.02e308, 16),
+                             (1.0, 10**400)):
+        with pytest.raises(DomainError, match=f"more than {ceiling} nodes"):
+            Grid2D.square(half_extent, res)
 
 
 def test_grid2d_geometry():

@@ -293,6 +293,21 @@ def test_sizes_below_the_minimum_are_usage_errors(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["capacity", "grid", "--annulus", "0.25", "1e300", "--resolution", "16"],
+    ["capacity", "grid", "--annulus", "0.25", "1", "--resolution", "100000"],
+    ["capacity", "theorem1", "--t", "0.25", "--resolution", "2048"],
+    ["capacity", "theorem1", "--t", "0.25", "--resolution", "1" + "0" * 400],
+])
+def test_grids_past_the_node_ceiling_are_usage_errors(argv, capsys, monkeypatch):
+    # the ceiling is checked before any grid array exists; the condensers
+    # must not even be built
+    for name in ("annulus_condenser", "tip_capacity_experiment"):
+        monkeypatch.setattr(cli, name, lambda *args, **kw: pytest.fail("grid built"))
+    assert usage_exit_code(argv) == 2
+    assert "nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
     ["distortion", "field", "--r-min", "0"],
     ["distortion", "field", "--r-min", "-1e-3"],
     ["distortion", "field", "--r-min", "2"],

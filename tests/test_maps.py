@@ -1,6 +1,7 @@
 """Map chain: Mobius stages, the squeeze, inverses, boundary asymptotics."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -274,3 +275,13 @@ def test_boundary_trace_quadratic_residual():
     assert abs(c_narrow / c_wide - 1.0) <= 0.2
     cap = 1.05 * max(c_narrow, c_wide)
     assert all(abs(r.residual) <= cap * r.t**2 for r in rows)
+
+
+@pytest.mark.parametrize("t", [1e-10, 1e-4, 0.1, 0.5, 0.9])
+def test_boundary_trace_residual_is_exact_to_a_few_ulp(t):
+    # Re (t + iy) / (1 + t + iy) - t in exact rational arithmetic on the same
+    # doubles t and y = e^{-1/t}; z.real - t kept only ~1e-16 / t of it
+    row, = boundary_image_trace([t])
+    T, Y = Fraction(t), Fraction(math.exp(-1.0 / t))
+    exact = float((Y * Y * (1 - T) - T * T * (1 + T)) / ((1 + T) ** 2 + Y * Y))
+    assert abs(row.residual - exact) <= 4.0 * math.ulp(exact)

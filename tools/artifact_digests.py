@@ -1,6 +1,6 @@
 """sha256 of every artifact and CLI output file, for a byte diff of two checkouts.
 
-    python3 tools/artifact_digests.py OUTDIR [--src SRC]
+    python3 tools/artifact_digests.py OUTDIR [--src SRC] [--against PARENT_SRC]
 
 Runs, each in its own process and writing through `--out` into OUTDIR:
 `cuspmap verify`, every `cuspmap` example of the README's "Command line"
@@ -12,12 +12,13 @@ comes from this checkout. Prints one `sha256  path` line per file, paths
 relative to OUTDIR, sorted. A command that exits with an unexpected code
 is named on stderr and makes the script exit 1.
 
-To compare a change with its parent, run it once per source tree on fresh
-directories and diff the two listings:
+To compare a change with its parent, name the parent's package directory:
 
-    python3 tools/artifact_digests.py /tmp/change > change.txt
-    python3 tools/artifact_digests.py --src ../parent/src /tmp/parent > parent.txt
-    diff parent.txt change.txt
+    python3 tools/artifact_digests.py /tmp/digests --against ../parent/src
+
+runs everything once with the package from PARENT_SRC (into OUTDIR/parent)
+and once with the one from SRC (into OUTDIR/change), prints only the paths
+whose sha256 differ, or that exist on one side only, and exits 1 if any do.
 
 Standard library only.
 """
@@ -70,25 +71,42 @@ def digests(out_dir: Path) -> list:
         for path in out_dir.rglob("*") if path.is_file())
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("out_dir", type=Path, help="directory for the outputs (created)")
-    p.add_argument("--src", type=Path, default=ROOT / "src",
-                   help="directory holding the cuspmap package (default: this checkout's src)")
-    args = p.parse_args(argv)
+def run_tree(src: Path, out_dir: Path):
+    """Every job with the package from src; ({path: sha256}, whether a command
+    exited with an unexpected code)."""
     for group in ("readme", "certify"):
-        (args.out_dir / group).mkdir(parents=True, exist_ok=True)
-    env = dict(os.environ, PYTHONPATH=str(args.src.resolve()))
+        (out_dir / group).mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     failed = False
-    for command, expected in jobs(args.out_dir):
+    for command, expected in jobs(out_dir):
         code = subprocess.run([sys.executable, "-m", "cuspmap", *command], env=env,
                               stdout=subprocess.DEVNULL).returncode
         if code not in expected:
             print(f"exit {code}: cuspmap {shlex.join(command)}", file=sys.stderr)
             failed = True
-    for rel, digest in digests(args.out_dir):
-        print(f"{digest}  {rel}")
-    return 1 if failed else 0
+    return dict(digests(out_dir)), failed
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("out_dir", type=Path, help="directory for the outputs (created)")
+    p.add_argument("--src", type=Path, default=ROOT / "src",
+                   help="directory holding the cuspmap package (default: this checkout's src)")
+    p.add_argument("--against", type=Path, metavar="PARENT_SRC",
+                   help="print only the paths whose sha256 differ from those of this package")
+    args = p.parse_args(argv)
+    if args.against is None:
+        listing, failed = run_tree(args.src, args.out_dir)
+        for rel, digest in sorted(listing.items()):
+            print(f"{digest}  {rel}")
+        return 1 if failed else 0
+    parent, parent_failed = run_tree(args.against, args.out_dir / "parent")
+    change, change_failed = run_tree(args.src, args.out_dir / "change")
+    differ = sorted(rel for rel in parent.keys() | change.keys()
+                    if parent.get(rel) != change.get(rel))
+    for rel in differ:
+        print(rel)
+    return 1 if differ or parent_failed or change_failed else 0
 
 
 if __name__ == "__main__":
