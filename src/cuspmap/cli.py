@@ -136,10 +136,13 @@ def _parse_floats(text: str):
 
 
 def _band(text: str) -> list:
-    """argparse type: two numbers LO,HI."""
+    """argparse type: two finite numbers LO,HI with LO < HI."""
     band = _parse_floats(text)
     if len(band) != 2:
         raise argparse.ArgumentTypeError(f"{text!r} is not two numbers LO,HI")
+    lo, hi = band
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a band of finite LO < HI")
     return band
 
 
@@ -340,10 +343,20 @@ def _cmd_map_sample(args) -> int:
     return 0
 
 
+def _residual_over_t2(row) -> float:
+    """residual / t^2. Where t*t is not a normal double, y = exp(-1/t) is 0,
+    the residual has underflowed with t*t, and the exact quotient is
+    -(1+t) / (1+t)^2."""
+    t = row.t
+    if t**2 < sys.float_info.min:
+        return -(1.0 + t) / (1.0 + t) ** 2
+    return _over_square(row.residual, t)
+
+
 def _cmd_map_trace(args) -> int:
     rows = boundary_image_trace(sorted(args.t, reverse=True))
     header = ["t", "x1", "x2", "residual", "residual_over_t2"]
-    table = [(r.t, r.x1, r.x2, r.residual, _over_square(r.residual, r.t)) for r in rows]
+    table = [(r.t, r.x1, r.x2, r.residual, _residual_over_t2(r)) for r in rows]
     _emit_table(args, header, table)
     return 0
 
@@ -495,6 +508,9 @@ def main(argv=None) -> int:
     except (OverflowError, FloatingPointError, ZeroDivisionError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # the only files a command opens are its --out outputs
+        print(f"{parser.prog}: error: argument --out: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 """Built-in certification suite: ten numbered criteria, one PASS/FAIL each.
 
-Every criterion is a pure function of its configuration, writes its evidence
-as deterministic CSV/JSON artifacts, and carries a wall-clock budget. The
-determinism criterion runs the other nine twice, into two directories, and
-byte-compares the artifact trees.
+Every criterion is a pure function of its configuration: it returns its
+`Evidence`, a verdict, the details `summary.json` reports and its artifacts
+as deterministic CSV/JSON texts by file name. `run_criterion` alone times a
+criterion against its wall-clock budget, judges it and writes its artifacts.
+The determinism criterion runs the other nine twice and compares the two
+runs' artifact texts in memory.
 
 Three criteria encode fixed numerical targets that direct evaluation of the
 map shows to be unattainable (see README, "Honest failures"); they are
@@ -47,8 +49,8 @@ from .maps import (
 from .profile import ProfileParams, _curves
 from .quadrature import AnnularScheme, Verdict, distortion_exp_integrals, distortion_power_integrals
 
-__all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_suite", "select_criteria",
-           "halton"]
+__all__ = ["CriterionResult", "CRITERIA", "Evidence", "run_criterion", "run_suite",
+           "select_criteria", "halton"]
 
 _HALF_PI = math.pi / 2.0
 
@@ -87,20 +89,22 @@ class CriterionResult:
         return f"{status}  criterion {self.index:2d} {self.name} ({self.elapsed:.1f}s)"
 
 
-def _result(index: int, passed: bool, elapsed: float, details: dict) -> CriterionResult:
-    """PASS needs the checks and the criterion's wall-clock budget."""
-    name, budget, _ = CRITERIA[index]
-    return CriterionResult(index, name, passed and elapsed < budget, elapsed, budget, details)
+@dataclass(frozen=True)
+class Evidence:
+    """What a criterion found: its checks' verdict, the details reported in
+    `summary.json`, and its artifacts, file name -> text."""
+
+    passed: bool
+    details: dict
+    artifacts: dict
 
 
-def _write(out_dir, name, text_or_bytes):
-    if out_dir is None:
-        return
+def _write(out_dir, artifacts: dict) -> None:
+    """Each name -> text of `artifacts` as a file in out_dir (created)."""
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    mode = "wb" if isinstance(text_or_bytes, bytes) else "w"
-    with open(path, mode, newline="\n" if mode == "w" else None) as fh:
-        fh.write(text_or_bytes)
+    for name, text in artifacts.items():
+        with open(os.path.join(out_dir, name), "w", newline="\n") as fh:
+            fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +118,12 @@ def _halton_polar(n, r_lo, r_hi, theta_lo, theta_hi, skip=20):
     return r, t
 
 
-def criterion_1(out_dir=None, cg: float = 16.0, jacobian_fn=None) -> CriterionResult:
+def criterion_1(cg: float = 16.0, jacobian_fn=None) -> Evidence:
     """Analytic differential vs central finite differences of the raw map.
 
     `jacobian_fn(r, theta, params)` returns the analytic entries
     (a11, a12, a21, a22) at arrays of radii and normalized angles.
     """
-    t0 = time.perf_counter()
     params = ProfileParams(cg=cg)
     jacobian_fn = jacobian_fn or cusp_jacobian_values
     margin = 1e-3
@@ -139,17 +142,13 @@ def criterion_1(out_dir=None, cg: float = 16.0, jacobian_fn=None) -> CriterionRe
         rows.extend(zip([sector] * len(rs), rs.tolist(), ts.tolist(), dev.tolist()))
     # np.max keeps a NaN deviation, and a NaN fails the check
     worst = float(np.max(np.concatenate(devs)))
-    passed = worst <= 1e-6
-    elapsed = time.perf_counter() - t0
-    _write(out_dir, "jacobian_fd_deviations.csv",
-           csv_text(["sector", "r", "theta", "rel_deviation"], rows))
-    return _result(1, passed, elapsed,
-                   {"worst_rel_deviation": worst, "points_per_sector": 1000})
+    return Evidence(worst <= 1e-6, {"worst_rel_deviation": worst, "points_per_sector": 1000},
+                    {"jacobian_fd_deviations.csv":
+                     csv_text(["sector", "r", "theta", "rel_deviation"], rows)})
 
 
-def criterion_2(out_dir=None, cg: float = 16.0) -> CriterionResult:
+def criterion_2(cg: float = 16.0) -> Evidence:
     """Round trip, seam continuity, and orientation of the chain."""
-    t0 = time.perf_counter()
     params = ProfileParams(cg=cg)
     chain = MapChain(params)
 
@@ -168,17 +167,13 @@ def criterion_2(out_dir=None, cg: float = 16.0) -> CriterionResult:
     rs, ts = _halton_polar(1000, 1e-9, 1.0, -_HALF_PI, 3 * _HALF_PI, skip=29)
     min_det = float(np.min(distortion_table(np.log(rs), ts, params)[1]))
 
+    details = {"worst_round_trip": worst_rt, "worst_seam_gap": worst_seam,
+               "min_jacobian_det": min_det}
     passed = worst_rt <= 1e-9 and worst_seam <= 1e-12 and min_det > 0.0
-    elapsed = time.perf_counter() - t0
-    _write(out_dir, "homeomorphism_sanity.json", json_text({
-        "worst_round_trip": worst_rt, "worst_seam_gap": worst_seam, "min_jacobian_det": min_det,
-    }))
-    return _result(2, passed, elapsed,
-                   {"worst_round_trip": worst_rt, "worst_seam_gap": worst_seam,
-                    "min_jacobian_det": min_det})
+    return Evidence(passed, details, {"homeomorphism_sanity.json": json_text(details)})
 
 
-def criterion_3(out_dir=None, cg: float = 16.0) -> CriterionResult:
+def criterion_3(cg: float = 16.0) -> Evidence:
     """Distortion against the log * loglog envelope: band and theta=pi limit.
 
     Encodes the stated targets: every sampled ratio in [0.05, 2.0] over
@@ -186,7 +181,6 @@ def criterion_3(out_dir=None, cg: float = 16.0) -> CriterionResult:
     r = 1e-30 within 0.5 +- 0.05. Direct evaluation gives a theta=pi limit
     of 2 and inner-sector ratios below the floor; reported as-is.
     """
-    t0 = time.perf_counter()
     params = ProfileParams(cg=cg)
     r_values = np.geomspace(1e-30, 1e-2, 29)
     thetas = [0.0, math.pi / 4, _HALF_PI, 3 * math.pi / 4, math.pi, 5 * math.pi / 4, 4.712]
@@ -196,17 +190,15 @@ def criterion_3(out_dir=None, cg: float = 16.0) -> CriterionResult:
     pi_limit = pi_fit.ratios[0]
     limit_ok = abs(pi_limit - 0.5) <= 0.05
     rows = [(f.theta, r, ratio) for f in fits for r, ratio in zip(f.r_values, f.ratios)]
-    elapsed = time.perf_counter() - t0
-    _write(out_dir, "envelope_ratios.csv", csv_text(["theta", "r", "ratio"], rows))
-    return _result(3, band_ok and limit_ok, elapsed,
-                   {"band_ok": band_ok, "theta_pi_ratio_at_1e-30": pi_limit,
-                    "ratio_min": min(f.ratio_min for f in fits),
-                    "ratio_max": max(f.ratio_max for f in fits)})
+    return Evidence(band_ok and limit_ok,
+                    {"band_ok": band_ok, "theta_pi_ratio_at_1e-30": pi_limit,
+                     "ratio_min": min(f.ratio_min for f in fits),
+                     "ratio_max": max(f.ratio_max for f in fits)},
+                    {"envelope_ratios.csv": csv_text(["theta", "r", "ratio"], rows)})
 
 
-def criterion_4(out_dir=None, cg: float = 16.0) -> CriterionResult:
+def criterion_4(cg: float = 16.0) -> Evidence:
     """Every power of the distortion integrates: convergent verdicts."""
-    t0 = time.perf_counter()
     chain = MapChain.default(cg)
     scheme = AnnularScheme.dyadic(64)
     rows, ok = [], True
@@ -215,14 +207,12 @@ def criterion_4(out_dir=None, cg: float = 16.0) -> CriterionResult:
         good = rep.verdict is Verdict.CONVERGENT and last_ratio <= 0.9
         ok = ok and good
         rows.append((rep.parameter, rep.verdict.value, last_ratio, rep.partials[-1][1]))
-    elapsed = time.perf_counter() - t0
-    _write(out_dir, "power_integrals.csv",
-           csv_text(["p", "verdict", "last_increment_ratio", "total"], rows))
-    return _result(4, ok, elapsed,
-                   {"rows": [(r[0], r[1]) for r in rows]})
+    return Evidence(ok, {"rows": [(r[0], r[1]) for r in rows]},
+                    {"power_integrals.csv":
+                     csv_text(["p", "verdict", "last_increment_ratio", "total"], rows)})
 
 
-def criterion_5(out_dir=None, cg: float = 16.0) -> CriterionResult:
+def criterion_5(cg: float = 16.0) -> Evidence:
     """Exponential integrals diverge at the matched dyadic scheme.
 
     Stated for lambda in {0.01, 0.1, 1} at eps down to 2^-64. The increments
@@ -230,7 +220,6 @@ def criterion_5(out_dir=None, cg: float = 16.0) -> CriterionResult:
     regime starts near 2^-23000 and 2^-10^46; see the deep-scheme tests), so
     this criterion reports FAIL for them; lambda = 1 passes.
     """
-    t0 = time.perf_counter()
     chain = MapChain.default(cg)
     scheme = AnnularScheme.dyadic(64)
     rows, ok = [], True
@@ -241,32 +230,26 @@ def criterion_5(out_dir=None, cg: float = 16.0) -> CriterionResult:
         ok = ok and good
         rows.append((rep.parameter, rep.verdict.value, increasing, rep.ratio_stats[-1],
                      rep.log_partials[-1]))
-    elapsed = time.perf_counter() - t0
-    _write(out_dir, "exp_integrals.csv",
-           csv_text(["lambda", "verdict", "log_partials_increasing",
-                     "last_increment_ratio", "log_total"], rows))
-    return _result(5, ok, elapsed,
-                   {"rows": [(r[0], r[1]) for r in rows]})
+    return Evidence(ok, {"rows": [(r[0], r[1]) for r in rows]},
+                    {"exp_integrals.csv":
+                     csv_text(["lambda", "verdict", "log_partials_increasing",
+                               "last_increment_ratio", "log_total"], rows)})
 
 
-def criterion_6(out_dir=None, cg: float = 16.0) -> CriterionResult:
+def criterion_6(cg: float = 16.0) -> Evidence:
     """Test-function energy decays faster than every power; negative control."""
-    t0 = time.perf_counter()
     rs = [2.0**-k for k in range(3, 13)]
     report = superpolynomial_decay_check([0.5, 1.0, 2.0, 5.0, 10.0], rs)
     control = superpolynomial_decay_check([10.0], rs, log_energy_fn=lambda r: 2.0 * math.log(r))
-    passed = report.passed and not control.passed
-    elapsed = time.perf_counter() - t0
     rows = [(c.s, c.passed) + c.log_ratios for c in report.checks]
-    _write(out_dir, "decay_check.csv",
-           csv_text(["s", "passed"] + [f"log_ratio_k{k}" for k in range(3, 13)], rows))
-    return _result(6, passed, elapsed,
-                   {"all_pass": report.passed, "control_fails": not control.passed})
+    return Evidence(report.passed and not control.passed,
+                    {"all_pass": report.passed, "control_fails": not control.passed},
+                    {"decay_check.csv":
+                     csv_text(["s", "passed"] + [f"log_ratio_k{k}" for k in range(3, 13)], rows)})
 
 
-def criterion_7(out_dir=None, cg: float = 16.0) -> CriterionResult:
+def criterion_7(cg: float = 16.0) -> Evidence:
     """Grid solver calibration on the classical annulus condenser."""
-    t0 = time.perf_counter()
     exact = 2.0 * math.pi / math.log(4.0)
     errors = {}
     rows = []
@@ -276,21 +259,18 @@ def criterion_7(out_dir=None, cg: float = 16.0) -> CriterionResult:
         errors[res] = abs(cap.value - exact) / exact
         rows.append((res, cap.value, errors[res]))
     passed = errors[512] <= 0.02 and errors[128] > errors[256] > errors[512]
-    elapsed = time.perf_counter() - t0
-    _write(out_dir, "annulus_calibration.csv",
-           csv_text(["resolution", "capacity", "rel_error"], rows))
-    return _result(7, passed, elapsed,
-                   {"exact": exact, "rel_errors": errors})
+    return Evidence(passed, {"exact": exact, "rel_errors": errors},
+                    {"annulus_calibration.csv":
+                     csv_text(["resolution", "capacity", "rel_error"], rows)})
 
 
-def criterion_8(out_dir=None, cg: float = 16.0) -> CriterionResult:
+def criterion_8(cg: float = 16.0) -> Evidence:
     """Tip condenser capacities: monotone column and power-law decay targets.
 
     The decay target capacity(t)/t^s -> 0 cannot materialize on a grid: the
     pulled-back arc collapses double-exponentially below one cell, freezing
     the condenser. The monotonicity half holds; the decay half reports FAIL.
     """
-    t0 = time.perf_counter()
     chain = MapChain.default(cg)
     ts = [2.0**-k for k in range(3, 9)]
     rows = tip_capacity_experiment(ts, chain, GridSolverConfig(resolution=256))
@@ -300,16 +280,13 @@ def criterion_8(out_dir=None, cg: float = 16.0) -> CriterionResult:
     for s in (1.0, 2.0):
         seq = [r.capacity / r.t**s for r in rows]
         decay_ok = decay_ok and all(b < a for a, b in zip(seq[:-1], seq[1:])) and seq[-1] <= 0.1 * seq[0]
-    passed = monotone and decay_ok
-    elapsed = time.perf_counter() - t0
-    _write(out_dir, "tip_experiment.csv", csv_text(*experiment_table(rows)))
-    return _result(8, passed, elapsed,
-                   {"monotone": monotone, "decay_ok": decay_ok, "capacities": caps})
+    return Evidence(monotone and decay_ok,
+                    {"monotone": monotone, "decay_ok": decay_ok, "capacities": caps},
+                    {"tip_experiment.csv": csv_text(*experiment_table(rows))})
 
 
-def criterion_9(out_dir=None, cg: float = 16.0) -> CriterionResult:
+def criterion_9(cg: float = 16.0) -> Evidence:
     """The final Mobius stage keeps the cusp boundary quadratically close."""
-    t0 = time.perf_counter()
     ts = np.geomspace(1e-4, 1e-1, 61)
     rows = boundary_image_trace(ts)
     c_narrow = fit_tip_curvature(rows, (1e-4, 1e-2))
@@ -317,45 +294,27 @@ def criterion_9(out_dir=None, cg: float = 16.0) -> CriterionResult:
     stable = abs(c_narrow / c_wide - 1.0) <= 0.2
     c_cap = 1.05 * max(c_narrow, c_wide, max(abs(r.residual) / r.t**2 for r in rows))
     contained = all(abs(r.residual) <= c_cap * r.t**2 for r in rows)
-    passed = stable and contained
-    elapsed = time.perf_counter() - t0
-    _write(out_dir, "boundary_trace.csv", csv_text(
-        ["t", "x1", "x2", "residual"], [(r.t, r.x1, r.x2, r.residual) for r in rows]))
-    return _result(9, passed, elapsed,
-                   {"C_narrow_window": c_narrow, "C_wide_window": c_wide})
+    return Evidence(stable and contained, {"C_narrow_window": c_narrow, "C_wide_window": c_wide},
+                    {"boundary_trace.csv": csv_text(
+                        ["t", "x1", "x2", "residual"],
+                        [(r.t, r.x1, r.x2, r.residual) for r in rows])})
 
 
-def criterion_10(out_dir=None, cg: float = 16.0) -> CriterionResult:
-    """Two consecutive runs of the suite produce byte-identical artifacts."""
-    t0 = time.perf_counter()
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        run1, run2 = os.path.join(tmp, "run1"), os.path.join(tmp, "run2")
-        for run in (run1, run2):
-            for idx in sorted(CRITERIA)[:-1]:  # all but this one
-                run_criterion(idx, run, cg)
-        mismatches = []
-        files1, files2 = (sorted(os.path.relpath(os.path.join(d, f), run)
-                                 for d, _, fs in os.walk(run) for f in fs)
-                          for run in (run1, run2))
-        if files1 != files2:
-            mismatches.append("file sets differ")
-        else:
-            for rel in files1:
-                with open(os.path.join(run1, rel), "rb") as fa, \
-                        open(os.path.join(run2, rel), "rb") as fb:
-                    if fa.read() != fb.read():
-                        mismatches.append(rel)
-    passed = not mismatches
-    elapsed = time.perf_counter() - t0
-    _write(out_dir, "determinism.json", json_text(
-        {"compared_files": len(files1), "mismatches": mismatches}))
-    return _result(10, passed, elapsed,
-                   {"compared_files": len(files1), "mismatches": mismatches})
+def criterion_10(cg: float = 16.0) -> Evidence:
+    """Two consecutive runs of criteria 1-9 produce byte-identical artifacts."""
+    run1, run2 = ({f"criterion-{i:02d}/{name}": text
+                   for i in sorted(CRITERIA)[:-1]  # all but this one
+                   for name, text in CRITERIA[i][2](cg).artifacts.items()}
+                  for _ in range(2))
+    if run1.keys() != run2.keys():
+        mismatches = ["file sets differ"]
+    else:
+        mismatches = [rel for rel in sorted(run1) if run1[rel] != run2[rel]]
+    details = {"compared_files": len(run1), "mismatches": mismatches}
+    return Evidence(not mismatches, details, {"determinism.json": json_text(details)})
 
 
-# criterion number -> (name, wall-clock budget in seconds, function)
+# criterion number -> (name, wall-clock budget in seconds, function of cg)
 CRITERIA = {
     1: ("jacobian-fd-agreement", 5.0, criterion_1),
     2: ("homeomorphism-sanity", 5.0, criterion_2),
@@ -371,8 +330,17 @@ CRITERIA = {
 
 
 def run_criterion(index: int, out_dir=None, cg: float = 16.0) -> CriterionResult:
-    target = os.path.join(out_dir, f"criterion-{index:02d}") if out_dir else None
-    return CRITERIA[index][2](target, cg)
+    """Criterion `index`, timed on the monotonic clock: PASS needs its checks
+    and its wall-clock budget. With out_dir, its artifacts are written to
+    out_dir/criterion-NN/."""
+    name, budget, criterion = CRITERIA[index]
+    t0 = time.perf_counter()
+    evidence = criterion(cg)
+    elapsed = time.perf_counter() - t0
+    if out_dir:
+        _write(os.path.join(out_dir, f"criterion-{index:02d}"), evidence.artifacts)
+    return CriterionResult(index, name, evidence.passed and elapsed < budget, elapsed, budget,
+                           evidence.details)
 
 
 def select_criteria(only=None) -> list:
@@ -390,32 +358,19 @@ def select_criteria(only=None) -> list:
     return selected
 
 
-def run_suite(out_dir=None, cg: float = 16.0, only=None, report=print):
-    """Run selected criteria (all by default); returns the result list."""
+def run_suite(out_dir=None, cg: float = 16.0, only=None):
+    """Run selected criteria (all by default), printing each PASS/FAIL line;
+    returns the result list."""
     results = []
     for idx in select_criteria(only):
         res = run_criterion(idx, out_dir, cg)
         results.append(res)
-        report(res.line())
+        print(res.line())
     if out_dir is not None:
-        summary = {
+        _write(out_dir, {"summary.json": json_text({
             "cg": cg,
-            "criteria": [
-                {"index": r.index, "name": r.name, "passed": r.passed,
-                 "details": _plain(r.details)}
-                for r in results
-            ],
+            "criteria": [{"index": r.index, "name": r.name, "passed": r.passed,
+                          "details": r.details} for r in results],
             "all_passed": all(r.passed for r in results),
-        }
-        _write(out_dir, "summary.json", json_text(summary))
+        })})
     return results
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return float(obj)
-    return obj

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
+import itertools
 import json
 import math
 import os
@@ -192,6 +193,30 @@ def test_verify_negative_control_detects_wrong_derivative():
     assert criterion_1().passed is True
 
 
+def test_determinism_criterion_detects_a_changing_artifact(monkeypatch):
+    from cuspmap import verify
+
+    def noisy(cg):
+        return verify.Evidence(True, {}, {"noise.txt": os.urandom(16).hex()})
+
+    runs = itertools.count()
+
+    def renamed(cg):
+        return verify.Evidence(True, {}, {f"run-{next(runs)}.txt": "same"})
+
+    table = {i: verify.CRITERIA[i] for i in (9, 10)}
+    monkeypatch.setattr(verify, "CRITERIA", table)
+    assert verify.criterion_10().passed is True
+    table[4] = ("noisy", math.inf, noisy)
+    evidence = verify.criterion_10()
+    assert evidence.passed is False
+    assert evidence.details == {"compared_files": 2, "mismatches": ["criterion-04/noise.txt"]}
+    assert json.loads(evidence.artifacts["determinism.json"]) == evidence.details
+    table[4] = ("renamed", math.inf, renamed)
+    evidence = verify.criterion_10()
+    assert evidence.passed is False and evidence.details["mismatches"] == ["file sets differ"]
+
+
 def halton_reference(n, skip):
     """The (2, 3)-Halton points one index and one digit at a time."""
     def radical_inverse(k, base):
@@ -360,6 +385,9 @@ def test_cusp_constant_the_profile_rejects_is_a_usage_error(command, cg, capsys)
     (["capacity", "theorem1", "--t", ","], "argument --t: ',' holds no number"),
     (["distortion", "fit-bound", "--theta", "pi", "--band", "1"],
      "argument --band: '1' is not two numbers LO,HI"),
+    *((["distortion", "fit-bound", "--theta", "pi", f"--band={band}"],
+       f"argument --band: '{band}' is not a band of finite LO < HI")
+      for band in ("2,1", "1,1", "nan,1", "0,nan", "-inf,1", "0,inf")),
 ])
 def test_malformed_numbers_are_plain_usage_errors(argv, message, capsys):
     assert usage_exit_code(argv) == 2
@@ -460,7 +488,36 @@ def test_cutoffs_whose_square_underflows(capsys):
     code, out = run(["map", "trace-boundary", "--t", "1e-300"], capsys)
     assert code == 0
     (row,) = rows_of(out)[1]
-    assert float(row["residual"]) == 0.0 and float(row["residual_over_t2"]) == 0.0
+    # y = exp(-1/t) is 0, so residual / t^2 is exactly -1 / (1 + t)
+    assert float(row["residual"]) == 0.0
+    assert float(row["residual_over_t2"]) == pytest.approx(-1.0 / (1.0 + 1e-300),
+                                                           rel=2 * sys.float_info.epsilon)
+
+
+@pytest.mark.parametrize("t", [1e-150, 1e-154, 1e-160, 1e-170, 5e-324])
+def test_trace_residual_over_t2_at_cutoffs_near_and_below_the_normal_square(t, capsys):
+    code, out = run(["map", "trace-boundary", "--t", repr(t)], capsys)
+    assert code == 0
+    (row,) = rows_of(out)[1]
+    exact = -1.0 / (1.0 + t)
+    assert abs(float(row["residual_over_t2"]) - exact) <= 2 * math.ulp(exact)
+
+
+@pytest.mark.parametrize("argv", [
+    ["capacity", "test-fn", "--r", "0.1", "--d", "1", "--out", "{missing}/x.json"],
+    ["distortion", "field", "--format", "pgm", "--out", "{missing}/x.pgm"],
+    ["verify", "--only", "9", "--out", "{file}"],
+])
+def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    existing = tmp_path / "file"
+    existing.write_text("")
+    argv = [a.format(missing=tmp_path / "nodir", file=existing) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("cuspmap: error: argument --out: ")
+    assert existing.read_text() == ""
 
 
 def test_distortion_field_csv_is_the_per_cell_rendering_of_the_table(capsys):
