@@ -438,7 +438,10 @@ def _cmd_capacity_grid(args) -> int:
     rho, R = args.annulus
     grid, F, E, dom = annulus_condenser(rho, R, args.resolution)
     cap = grid_capacity(None, F, E, dom, grid, GridSolverConfig(resolution=args.resolution))
-    exact = 2.0 * math.pi / math.log(R / rho)
+    # R / rho overflows to inf for rho below about R * 5.6e-309; only there
+    # take the difference of logs, so that every finite quotient keeps its bits
+    ratio = R / rho
+    exact = 2.0 * math.pi / (math.log(ratio) if ratio < math.inf else math.log(R) - math.log(rho))
     _emit(args, json_text({
         "rho": rho, "R": R, "resolution": args.resolution,
         "capacity": cap.value, "exact_continuum": exact,

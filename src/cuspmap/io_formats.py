@@ -4,12 +4,11 @@ Every floating-point number is written with 17 significant digits, enough to
 round-trip any double exactly; identical inputs therefore produce
 byte-identical files.
 
-That conversion is nearly all the cost of writing a table, so no double is
-converted twice where the input shows a repeat. A column of a 2-D float
-array whose bit patterns repeat has each distinct pattern formatted once and
-its cells put back by index; a column without repeats, and every CSV row
-sequence, goes through a single `%` template. JSON lists of finite Python
-floats are written through one template each.
+That conversion is nearly all the cost of writing a table, so every CSV
+table goes one way: column by column, with each distinct double of a float
+column formatted once where its bit patterns repeat, and the rows written by
+one `%` template per block. JSON lists of finite Python floats are written
+through one template each.
 """
 
 from __future__ import annotations
@@ -28,6 +27,8 @@ def fmt17(x) -> str:
 
 
 def _cell(v) -> str:
+    if type(v) is str:
+        return v
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
@@ -37,65 +38,47 @@ def _cell(v) -> str:
     return str(v)
 
 
-# %-conversions that write the same bytes as _cell for cells of exactly
-# these types; rows holding any other type (bool, for one) go through _cell
-_CONVERSIONS = {float: "%.17g", np.float64: "%.17g", int: "%d", np.int64: "%d", str: "%s"}
-
-
-# rows of a float array per `%` call, so that per-cell Python objects exist
-# for one block at a time, never for the whole table
+# rows per `%` call: per-cell Python objects exist for one block at a time
 _BLOCK_ROWS = 256
 
 
-def _float_table_blocks(rows) -> list:
-    """The text of a 2-D float64 array in blocks of _BLOCK_ROWS rows, each
-    row beginning with a newline.
-
-    A column whose bit patterns repeat (keyed on bits, not values: 0.0 and
-    -0.0 print differently) has every distinct pattern formatted once; its
-    cells are those shared strings, picked by index.
-    """
-    n, m = rows.shape
-    conversions, columns = [], []
-    for col in rows.T:
-        keys, index = np.unique(col.view(np.uint64), return_inverse=True)
-        if len(keys) < n:
-            text = "\n".join(["%.17g"] * len(keys)) % tuple(keys.view(np.float64).tolist())
-            conversions.append("%s")
-            columns.append((np.array(text.split("\n"), dtype=object), index))
-        else:
-            conversions.append("%.17g")
-            columns.append((None, col))
-    line = "\n" + ",".join(conversions)
-    cells = np.empty((min(n, _BLOCK_ROWS), m), dtype=object)
-    blocks = []
-    for start in range(0, n, _BLOCK_ROWS):
-        block = cells[: min(n - start, _BLOCK_ROWS)]
-        stop = start + len(block)
-        for j, (strings, values) in enumerate(columns):
-            block[:, j] = values[start:stop] if strings is None else strings[values[start:stop]]
-        blocks.append((line * len(block)) % tuple(block.ravel().tolist()))
-    return blocks
+def _column(cells) -> tuple:
+    """One table column as (values, index, conversion): its cells are
+    values[index], or values where index is None. A float64 array, or cells
+    all float or np.float64, become one float64 array whose distinct bit
+    patterns (0.0 and -0.0 print differently) are formatted once each where
+    they repeat; any other column holds the _cell text of each cell."""
+    if not isinstance(cells, np.ndarray):
+        if not set(map(type, cells)) <= {float, np.float64}:
+            return np.array(list(map(_cell, cells)), dtype=object), None, "%s"
+        cells = np.array(cells, dtype=np.float64)
+    keys, index = np.unique(cells.view(np.uint64), return_inverse=True)
+    if len(keys) == len(cells):
+        return cells, None, "%.17g"
+    text = "\n".join(["%.17g"] * len(keys)) % tuple(keys.view(np.float64).tolist())
+    return np.array(text.split("\n"), dtype=object), index, "%s"
 
 
 def csv_text(header, rows) -> str:
-    """CSV text of a header and rows: row sequences, or a 2-D float ndarray
-    (written as its .tolist() would be)."""
-    if isinstance(rows, np.ndarray):
-        if rows.dtype == np.float64 and rows.ndim == 2 and rows.size:
-            return "".join([",".join(header), *_float_table_blocks(rows), "\n"])
-        rows = rows.tolist()
-    lines = [",".join(header)]
-    templates = {}
-    for row in rows:
-        types = tuple(map(type, row))
-        if types not in templates:
-            conversions = [_CONVERSIONS.get(t) for t in types]
-            templates[types] = None if None in conversions else ",".join(conversions)
-        template = templates[types]
-        lines.append(template % tuple(row) if template is not None
-                     else ",".join([_cell(v) for v in row]))
-    return "\n".join(lines) + "\n"
+    """CSV text of a header and rows: equal-length row sequences (else
+    ValueError), or an ndarray, written as its .tolist() would be. A 2-D
+    float64 array gives its columns as they are."""
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2:
+        n, columns = len(rows), rows.T
+    else:
+        rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
+        n, columns = len(rows), zip(*rows, strict=True)
+    columns = list(map(_column, columns))
+    line = "\n" + ",".join([conversion for _, _, conversion in columns])
+    cells = np.empty((min(n, _BLOCK_ROWS), len(columns)), dtype=object)
+    blocks = [",".join(header)]
+    for start in range(0, n, _BLOCK_ROWS):
+        block = cells[: min(n - start, _BLOCK_ROWS)]
+        part = slice(start, start + len(block))
+        for j, (values, index, _) in enumerate(columns):
+            block[:, j] = values[part] if index is None else values[index[part]]
+        blocks.append((line * len(block)) % tuple(block.ravel().tolist()))
+    return "".join([*blocks, "\n"])
 
 
 def _finite_floats(v) -> bool:

@@ -146,6 +146,18 @@ def test_capacity_grid_annulus(capsys):
     assert 0.0 < payload["residual"] <= 1e-8
 
 
+@pytest.mark.parametrize("rho, exact", [("0.25", "4.5323601418271942"),
+                                         ("1e-320", "0.0085273520826699319"),
+                                         ("5e-324", "0.0084401492399016655")])
+def test_capacity_grid_exact_capacity(rho, exact, capsys):
+    # R / rho overflows to inf for the two tiny radii: the exact capacity
+    # comes from the difference of logs there, and keeps its bits elsewhere
+    code, out = run(["capacity", "grid", "--annulus", rho, "1", "--resolution", "16"], capsys)
+    assert code == 0
+    assert f'"exact_continuum":{exact},' in out
+    assert math.isfinite(json.loads(out)["rel_error"])
+
+
 def test_capacity_theorem1_monotone_column(capsys):
     code, out = run(["capacity", "theorem1", "--t", "0.25,0.125,0.0625",
                      "--resolution", "48", "--arc-samples", "16"], capsys)

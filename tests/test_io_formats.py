@@ -151,6 +151,37 @@ def test_csv_of_a_float_array_across_row_blocks():
     assert csv_text(header, array) == reference_csv(header, array.tolist())
 
 
+@SETTINGS
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from(["inner", "outer", "a%b"]), min_size=n, max_size=n),
+    st.lists(floats, min_size=n, max_size=n),
+    st.lists(floats.map(np.float64), min_size=n, max_size=n),
+    st.lists(pooled, min_size=n, max_size=n))))
+def test_csv_of_row_tables_with_one_cell_type_per_column(columns):
+    # a str column beside float and np.float64 columns, as criterion 1 writes,
+    # and a pooled float column whose repeats are formatted once
+    rows = list(zip(*columns))
+    header = ["sector", "r", "theta", "pool"]
+    expected = reference_csv(header, rows)
+    assert csv_text(header, rows) == expected
+    assert csv_text(header, iter(rows)) == expected
+
+
+def test_csv_of_a_row_table_across_row_blocks():
+    rng = np.random.default_rng(7)
+    n = 3 * io_formats._BLOCK_ROWS + 17
+    rows = list(zip(rng.choice(["inner", "outer"], n).tolist(), rng.standard_normal(n).tolist(),
+                    map(np.float64, rng.choice(np.array(POOL), n)), range(n)))
+    header = ["sector", "normal", "pool", "i"]
+    assert csv_text(header, rows) == reference_csv(header, rows)
+
+
+def test_csv_of_ragged_rows_raises():
+    for rows in ([(1.0, 2.0), (3.0,)], [(), ("a",)], [("a", 1), ("b", 2, 3)]):
+        with pytest.raises(ValueError):
+            csv_text(["a", "b"], rows)
+
+
 def reference_json(v):
     """Per-item reference of json_text for a list of scalars."""
     def item(x):
