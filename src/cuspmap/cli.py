@@ -28,14 +28,13 @@ from .capacity import (
     grid_capacity,
     tip_capacity_experiment,
 )
-from .distortion import distortion_table, distortion_values, fit_growth_envelope
+from .distortion import distortion_table, fit_growth_envelope
 from .domains import preimage_arc
 from .errors import DomainError, ToolkitError
 from .io_formats import csv_text, json_text, write_pgm
 from .maps import (
     MapChain,
     MapStage,
-    _over_square,
     boundary_image_trace,
     chain_inverse_values,
     chain_values,
@@ -75,6 +74,8 @@ def _parse_theta(text: str) -> float:
     num = (_number(coef, what="a multiple of pi") if coef not in ("", "+", "-")
            else (-1.0 if coef == "-" else 1.0))
     den = float(m.group(2)) if m.group(2) else 1.0
+    if den == 0.0:
+        raise argparse.ArgumentTypeError(f"angle {text!r} divides by zero")
     return num * math.pi / den
 
 
@@ -91,13 +92,15 @@ def _parse_points(text: str):
     return pts
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low."""
+def _int_in(low: int, high: float = math.inf):
+    """argparse type: an integer in [low, high]."""
 
     def parse(text: str) -> int:
         value = _number(text, int, "an integer")
         if value < low:
             raise argparse.ArgumentTypeError(f"{value} is below the minimum {low}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"{value} is above the maximum {high}")
         return value
 
     return parse
@@ -214,6 +217,48 @@ def _fold_config(argv, parser, pre):
     return argv + extra
 
 
+def _check_radii(args) -> None:
+    if not (0.0 < args.r_lo < args.r_hi < math.inf):
+        raise DomainError(f"need 0 < --r-min < --r-max < inf, got {args.r_lo} and {args.r_hi}")
+    # fit-bound, and field without --chain, use the squeeze; its closed form
+    # covers r <= 1 only
+    if args.r_hi > 1.0 and MapStage.CUSP in (getattr(args, "chain", None) or (MapStage.CUSP,)):
+        raise DomainError(f"--r-max {args.r_hi} is above 1; with the squeeze (f2) "
+                          "the distortion needs r <= 1")
+
+
+def _check_field(args) -> None:
+    _check_radii(args)
+    if args.format == "pgm" and args.out == "-":
+        raise DomainError("--format pgm needs --out FILE")
+
+
+def _check_sample(args) -> None:
+    if args.points is None and args.grid is None and args.random is None:
+        raise DomainError("map sample needs --points, --grid or --random")
+
+
+def _check_theorem1(args) -> None:
+    _tip_grid(args.resolution)
+    if len(set(args.t)) < len(args.t):
+        raise DomainError("argument --t: a cutoff is listed twice")
+
+
+def _command(sub, name, run, check=lambda args: None, formats=(), cg=False, **kw):
+    """A subcommand parser bound to its body and its cross-option check, with
+    --out, --config and, where the body reads them, --format and --cg."""
+    p = sub.add_parser(name, **kw)
+    p.set_defaults(run=run, check=check)
+    p.add_argument("--out", default="-", help="output path ('-' for stdout)")
+    p.add_argument("--config", default=None, help="plain key=value file supplying flag defaults")
+    if formats:
+        p.add_argument("--format", choices=formats, default=formats[0])
+    if cg:
+        p.add_argument("--cg", type=_checked(lambda cg: ProfileParams(cg=cg)), default=16.0,
+                       help="cusp constant inside the double logarithm (default 16)")
+    return p
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser():
     """The command-line parser and the --config pre-parser, built on first use.
@@ -231,78 +276,73 @@ def _build_parser():
                     "maps, distortion, integrability, capacity.",
     )
     parser.add_argument("--version", action="version", version=f"cuspmap {__version__}")
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cg", type=_checked(lambda cg: ProfileParams(cg=cg)), default=16.0,
-                        help="cusp constant inside the double logarithm (default 16)")
-    common.add_argument("--out", default="-", help="output path ('-' for stdout)")
-    common.add_argument("--format", choices=("csv", "json", "pgm"), default="csv")
-    common.add_argument("--seed", type=int, default=0,
-                        help="offset for quasi-random sampling sequences")
-    common.add_argument("--config", default=None,
-                        help="plain key=value file supplying flag defaults")
-
     sub = parser.add_subparsers(dest="command", required=True)
+    table = ("csv", "json")
 
     p_map = sub.add_parser("map", help="sample the chain and trace the image boundary")
     map_sub = p_map.add_subparsers(dest="subcommand", required=True)
-    ms = map_sub.add_parser("sample", parents=[common])
+    ms = _command(map_sub, "sample", _cmd_map_sample, _check_sample, table, cg=True)
     ms.add_argument("--points", type=_parse_points, default=None,
                     help="semicolon-separated x1,x2 pairs")
-    ms.add_argument("--grid", type=_int_at_least(1), default=None,
+    ms.add_argument("--grid", type=_int_in(1), default=None,
                     help="NxN Cartesian grid over the disk")
-    ms.add_argument("--random", type=_int_at_least(1), default=None,
+    ms.add_argument("--random", type=_int_in(1), default=None,
                     help="N quasi-random disk points (offset by --seed)")
+    ms.add_argument("--seed", type=_int_in(0, 2**62), default=0,
+                    help="offset of the quasi-random sequence, 0 to 2^62")
     ms.add_argument("--roundtrip", action="store_true", help="append inverse-error column")
-    mt = map_sub.add_parser("trace-boundary", parents=[common])
+    mt = _command(map_sub, "trace-boundary", _cmd_map_trace, formats=table)
     mt.add_argument("--t", required=True, help="comma-separated boundary parameters in (0, 1)",
                     type=_checked(lambda t: boundary_image_trace([t]), _parse_floats))
 
     p_dist = sub.add_parser("distortion", help="distortion field and growth-envelope fit")
     dist_sub = p_dist.add_subparsers(dest="subcommand", required=True)
-    df = dist_sub.add_parser("field", parents=[common])
+    df = _command(dist_sub, "field", _cmd_distortion_field, _check_field,
+                  ("csv", "json", "pgm"), cg=True)
     df.add_argument("--r-min", dest="r_lo", type=float, default=1e-8)
     df.add_argument("--r-max", dest="r_hi", type=float, default=1.0)
-    df.add_argument("--nr", type=_int_at_least(1), default=64)
-    df.add_argument("--ntheta", type=_int_at_least(1), default=64)
+    df.add_argument("--nr", type=_int_in(1), default=64)
+    df.add_argument("--ntheta", type=_int_in(1), default=64)
     df.add_argument("--chain", type=_chain_stages, default=None,
                     help="comma list of stages, e.g. f1,f2,f3")
-    fb = dist_sub.add_parser("fit-bound", parents=[common])
+    fb = _command(dist_sub, "fit-bound", _cmd_distortion_fit, _check_radii, table, cg=True)
     fb.add_argument("--theta", required=True, type=_checked(
         lambda theta: fit_growth_envelope([1.0], theta, ProfileParams()), _parse_theta))
     fb.add_argument("--r-min", dest="r_lo", type=float, default=1e-30)
     fb.add_argument("--r-max", dest="r_hi", type=float, default=1e-2)
-    fb.add_argument("--n", type=_int_at_least(1), default=29)
+    fb.add_argument("--n", type=_int_in(1), default=29)
     fb.add_argument("--band", type=_band, default=[0.05, 2.0])
 
-    p_int = sub.add_parser("integrate", parents=[common],
-                           help="partial integrals of K^p or exp(lambda K)")
+    p_int = _command(sub, "integrate", _cmd_integrate, cg=True,
+                     help="partial integrals of K^p or exp(lambda K)")
     group = p_int.add_mutually_exclusive_group(required=True)
     group.add_argument("--kpow", type=_checked(lambda p: _check_parameter("exponent", p)))
     group.add_argument("--explambda", type=_checked(lambda lam: _check_parameter("lambda", lam)))
     # the growth classifier needs at least six partial integrals
-    p_int.add_argument("--depth", type=_int_at_least(6), default=64,
+    p_int.add_argument("--depth", type=_int_in(6), default=64,
                        help="dyadic refinement depth")
     p_int.add_argument("--geometric-depth", type=_checked(AnnularScheme.geometric), default=None,
                        help="deep log-radius scheme: reach 2^-DEPTH geometrically")
-    p_int.add_argument("--steps", type=_int_at_least(6), default=48)
+    p_int.add_argument("--steps", type=_int_in(6), default=48)
     p_int.add_argument("--chain", type=_chain_stages, default=None)
 
     p_cap = sub.add_parser("capacity", help="test functions, grid solves, tip experiment")
     cap_sub = p_cap.add_subparsers(dest="subcommand", required=True)
-    ct = cap_sub.add_parser("test-fn", parents=[common])
+    ct = _command(cap_sub, "test-fn", _cmd_capacity_testfn,
+                  lambda args: _check_test_radii(args.r, args.d))
     ct.add_argument("--r", type=float, required=True)
     ct.add_argument("--d", type=float, required=True)
-    cg_ = cap_sub.add_parser("grid", parents=[common])
+    cg_ = _command(cap_sub, "grid", _cmd_capacity_grid,
+                   lambda args: _annulus_grid(*args.annulus, args.resolution))
     cg_.add_argument("--annulus", type=float, nargs=2, metavar=("RHO", "R"), required=True)
-    cg_.add_argument("--resolution", type=_int_at_least(16), default=512)
-    th = cap_sub.add_parser("theorem1", parents=[common])
+    cg_.add_argument("--resolution", type=_int_in(16), default=512)
+    th = _command(cap_sub, "theorem1", _cmd_capacity_theorem1, _check_theorem1, table, cg=True)
     th.add_argument("--t", required=True, type=_checked(
         lambda t: preimage_arc(t, MapChain.default(), 2), _parse_floats))
-    th.add_argument("--resolution", type=_int_at_least(16), default=256)
-    th.add_argument("--arc-samples", type=_int_at_least(2), default=64)
+    th.add_argument("--resolution", type=_int_in(16), default=256)
+    th.add_argument("--arc-samples", type=_int_in(2), default=64)
 
-    p_ver = sub.add_parser("verify", parents=[common], help="run the certification suite")
+    p_ver = _command(sub, "verify", _cmd_verify, cg=True, help="run the certification suite")
     p_ver.add_argument("--only", type=_criterion_filter, default=None,
                        help="criterion number or name fragment")
 
@@ -317,8 +357,6 @@ def _build_parser():
 
 def _cmd_map_sample(args) -> int:
     chain = _chain_from(args)
-    if args.points is None and args.grid is None and args.random is None:
-        raise ToolkitError("map sample needs --points, --grid or --random")
     parts = [np.array(args.points or [], dtype=complex)]
     if args.grid:
         a, b = np.meshgrid(np.linspace(-0.99, 0.99, args.grid),
@@ -343,20 +381,10 @@ def _cmd_map_sample(args) -> int:
     return 0
 
 
-def _residual_over_t2(row) -> float:
-    """residual / t^2. Where t*t is not a normal double, y = exp(-1/t) is 0,
-    the residual has underflowed with t*t, and the exact quotient is
-    -(1+t) / (1+t)^2."""
-    t = row.t
-    if t**2 < sys.float_info.min:
-        return -(1.0 + t) / (1.0 + t) ** 2
-    return _over_square(row.residual, t)
-
-
 def _cmd_map_trace(args) -> int:
     rows = boundary_image_trace(sorted(args.t, reverse=True))
     header = ["t", "x1", "x2", "residual", "residual_over_t2"]
-    table = [(r.t, r.x1, r.x2, r.residual, _residual_over_t2(r)) for r in rows]
+    table = [(r.t, r.x1, r.x2, r.residual, r.residual_over_t2) for r in rows]
     _emit_table(args, header, table)
     return 0
 
@@ -365,22 +393,16 @@ def _cmd_distortion_field(args) -> int:
     chain = _chain_from(args)
     rs = np.geomspace(args.r_lo, args.r_hi, args.nr)
     thetas = -math.pi / 2.0 + 2.0 * math.pi * (np.arange(args.ntheta) + 0.5) / args.ntheta
-    if args.format == "pgm":
-        if args.out == "-":
-            raise ToolkitError("--format pgm needs --out FILE")
-        if chain.has_cusp():
-            K = distortion_values(np.log(rs)[:, None], thetas[None, :], chain.params)
-        else:
-            K = np.ones((args.nr, args.ntheta))
-        write_pgm(args.out, np.log10(K), lo=0.0)
-        return 0
-    header = ["r", "theta", "op_norm", "jac_det", "K"]
     r, theta = np.meshgrid(rs, thetas, indexing="ij")
     if chain.has_cusp():
         table = distortion_table(np.log(r), theta, chain.params)
     else:
         table = np.ones((3,) + r.shape)
-    _emit_table(args, header, np.column_stack([v.ravel() for v in (r, theta, *table)]))
+    if args.format == "pgm":
+        write_pgm(args.out, np.log10(table[2]), lo=0.0)
+    else:
+        header = ["r", "theta", "op_norm", "jac_det", "K"]
+        _emit_table(args, header, np.column_stack([v.ravel() for v in (r, theta, *table)]))
     return 0
 
 
@@ -470,41 +492,12 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, pre = _build_parser()
     args = parser.parse_args(_fold_config(argv, parser, pre))
-    if args.command == "distortion":
-        if not (0.0 < args.r_lo < args.r_hi < math.inf):
-            parser.error(f"need 0 < --r-min < --r-max < inf, got {args.r_lo} and {args.r_hi}")
-        # fit-bound, and field without --chain, use the squeeze; its closed
-        # form covers r <= 1 only
-        if args.r_hi > 1.0 and MapStage.CUSP in (getattr(args, "chain", None) or (MapStage.CUSP,)):
-            parser.error(f"--r-max {args.r_hi} is above 1; with the squeeze (f2) "
-                         "the distortion needs r <= 1")
-    # the library's range checks on values that only make sense together
-    key = (args.command, getattr(args, "subcommand", None))
-    try:
-        if key == ("capacity", "test-fn"):
-            _check_test_radii(args.r, args.d)
-        elif key == ("capacity", "grid"):
-            _annulus_grid(*args.annulus, args.resolution)
-        elif key == ("capacity", "theorem1"):
-            _tip_grid(args.resolution)
+    try:  # the range checks on values that only make sense together
+        args.check(args)
     except DomainError as exc:
         parser.error(exc.args[0])
-    if key == ("capacity", "theorem1") and len(set(args.t)) < len(args.t):
-        parser.error("argument --t: a cutoff is listed twice")
-
-    dispatch = {
-        ("map", "sample"): _cmd_map_sample,
-        ("map", "trace-boundary"): _cmd_map_trace,
-        ("distortion", "field"): _cmd_distortion_field,
-        ("distortion", "fit-bound"): _cmd_distortion_fit,
-        ("integrate", None): _cmd_integrate,
-        ("capacity", "test-fn"): _cmd_capacity_testfn,
-        ("capacity", "grid"): _cmd_capacity_grid,
-        ("capacity", "theorem1"): _cmd_capacity_theorem1,
-        ("verify", None): _cmd_verify,
-    }
     try:
-        return dispatch[key](args)
+        return args.run(args)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -278,6 +278,7 @@ class TraceRow:
     x1: float
     x2: float
     residual: float  # Re w - t in closed form, expected O(t^2)
+    residual_over_t2: float
 
 
 def _over_square(x: float, t: float) -> float:
@@ -298,7 +299,12 @@ def boundary_image_trace(t_values) -> list:
         z = complex(t, y) / complex(1.0 + t, y)
         # Re z - t without the cancellation of z.real - t
         residual = (y * y * (1.0 - t) - t * t * (1.0 + t)) / ((1.0 + t) ** 2 + y * y)
-        rows.append(TraceRow(t=t, x1=z.real, x2=z.imag, residual=residual))
+        # where t*t is not a normal double, y is 0, the residual has
+        # underflowed with t*t, and the exact quotient is -(1+t) / (1+t)^2
+        over_t2 = (-(1.0 + t) / (1.0 + t) ** 2 if t**2 < sys.float_info.min
+                   else _over_square(residual, t))
+        rows.append(TraceRow(t=t, x1=z.real, x2=z.imag, residual=residual,
+                             residual_over_t2=over_t2))
     return rows
 
 

@@ -400,6 +400,15 @@ def test_cusp_constant_the_profile_rejects_is_a_usage_error(command, cg, capsys)
     *((["distortion", "fit-bound", "--theta", "pi", f"--band={band}"],
        f"argument --band: '{band}' is not a band of finite LO < HI")
       for band in ("2,1", "1,1", "nan,1", "0,nan", "-inf,1", "0,inf")),
+    *((["distortion", "fit-bound", "--theta", theta], f"argument --theta: angle '{theta}' "
+       "divides by zero") for theta in ("pi/0", "3pi/0.0")),
+    # a negative seed gave repeated points at the origin, one past the int64
+    # Halton index wrapped it, and one past int64 raised from numpy
+    (["map", "sample", "--random", "3", "--seed", "-100"],
+     "argument --seed: -100 is below the minimum 0"),
+    *((["map", "sample", "--random", "3", "--seed", seed],
+       f"argument --seed: {seed} is above the maximum {2**62}")
+      for seed in ("9223372036854775790", "100000000000000000000000")),
 ])
 def test_malformed_numbers_are_plain_usage_errors(argv, message, capsys):
     assert usage_exit_code(argv) == 2
@@ -428,6 +437,34 @@ def test_malformed_numbers_are_plain_usage_errors(argv, message, capsys):
 ])
 def test_values_out_of_the_library_range_are_usage_errors(argv, capsys):
     assert usage_exit_code(argv) == 2
+
+
+def test_largest_seed_gives_distinct_points(capsys):
+    code, out = run(["map", "sample", "--random", "3", "--seed", str(2**62)], capsys)
+    assert code == 0
+    _, rows = rows_of(out)
+    assert len({(r["x1"], r["x2"]) for r in rows}) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["capacity", "grid", "--annulus", "0.25", "1", "--format", "csv"],
+    ["integrate", "--kpow", "1", "--format", "json"],
+    ["verify", "--seed", "1"],
+    ["map", "trace-boundary", "--t", "0.1", "--cg", "3"],
+    ["capacity", "test-fn", "--r", "0.2", "--d", "1", "--cg", "20"],
+    ["map", "sample", "--points=0.1,0.2", "--format", "pgm"],
+])
+def test_options_a_command_does_not_read_are_usage_errors(argv, capsys):
+    assert usage_exit_code(argv) == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["map", "sample"], "map sample needs --points, --grid or --random"),
+    (["distortion", "field", "--format", "pgm"], "--format pgm needs --out FILE"),
+])
+def test_options_missing_their_companion_are_usage_errors(argv, message, capsys):
+    assert usage_exit_code(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_unknown_chain_stage_is_a_usage_error(capsys):
