@@ -11,7 +11,7 @@ Three layers:
     parameters defaulting to 1;
 
   * a deterministic 5-point grid minimizer of the weighted Dirichlet energy
-    (weight sampled at edge midpoints, conjugate gradients from a zero
+    (uniform, or given edge weights; conjugate gradients from a zero
     start), plus the pullback capacity experiment toward the cusp tip. CG,
     its products, its stopping test and the final residual run in float64;
     only the preconditioner, a multigrid V-cycle, runs in float32, on flat
@@ -153,8 +153,8 @@ class DecayReport:
     passed: bool
 
 
-def superpolynomial_decay_check(s_list, r_list, d: float = 1.0, log_energy_fn=None) -> DecayReport:
-    """Check energy(r) / r^s -> 0 for every s, on log scale.
+def superpolynomial_decay_check(s_list, r_list, log_energy_fn=None) -> DecayReport:
+    """Check energy(r) / r^s -> 0 for every s, on log scale (test energy, d = 1).
 
     A check passes when the tail of the log-ratio sequence decreases
     monotonically and ends below its start. log_energy_fn can substitute a
@@ -166,7 +166,7 @@ def superpolynomial_decay_check(s_list, r_list, d: float = 1.0, log_energy_fn=No
     if any(not (0.0 < r < 0.25) for r in rs):
         raise DomainError("cutoffs must lie in (0, 1/4)")
     if log_energy_fn is None:
-        log_energy_fn = lambda r: cusp_test_energy(r, d).log_value
+        log_energy_fn = lambda r: cusp_test_energy(r, 1.0).log_value
     log_energies = [log_energy_fn(r) for r in rs]
     checks = []
     for s in s_list:
@@ -186,7 +186,6 @@ def superpolynomial_decay_check(s_list, r_list, d: float = 1.0, log_energy_fn=No
 class GridSolverConfig:
     resolution: int = 256          # cells per unit length
     tolerance: float = 1e-8        # relative residual target
-    max_iterations: int = 50000
 
     def __post_init__(self):
         if self.resolution < 16:
@@ -195,7 +194,9 @@ class GridSolverConfig:
             raise DomainError("tolerance must be positive")
 
 
-# The most nodes of a grid: a solve holds about a dozen float64 arrays that long, 1.6 GB
+# CG iterations before ConvergenceError, and the most nodes of a grid: a
+# solve holds about a dozen float64 arrays that long, 1.6 GB
+_MAX_ITERATIONS = 50000
 _MAX_GRID_NODES = 2**24
 
 
@@ -220,9 +221,6 @@ class Grid2D:
         return tuple(x0 + self.h * (n - 1) / 2.0 + self.h * (np.arange(n) - (n - 1) / 2.0)
                      for x0, n in ((self.x0, self.nx), (self.y0, self.ny)))
 
-    def nodes(self):
-        return np.meshgrid(*self.axes(), indexing="ij")
-
     @classmethod
     def square(cls, half_extent: float, resolution: int) -> "Grid2D":
         """The grid covering [-half_extent, half_extent]^2 at `resolution` cells per
@@ -243,10 +241,8 @@ _WEIGHT_ROWS = 32
 
 
 def _edge_midpoint_weights(grid: Grid2D, weight, where):
-    """Weight arrays on x-edges (nx-1, ny) and y-edges (nx, ny-1), sampled at the
-    midpoints of the edges with both ends in the node mask `where`, 0 elsewhere."""
-    if weight is None:
-        return np.ones((grid.nx - 1, grid.ny)), np.ones((grid.nx, grid.ny - 1))
+    """x-edge (nx-1, ny) and y-edge (nx, ny-1) arrays of the vectorized weight(x, y) at
+    the midpoints of the edges with both ends in the node mask `where`, 0 elsewhere."""
     xs, ys = grid.axes()
     out = []
     for x, y, keep in ((0.5 * (xs[:-1] + xs[1:]), ys, where[:-1, :] & where[1:, :]),
@@ -364,9 +360,8 @@ def _edges_to(wx, wy, src, dst):
                                   (wx, src[1:, :], dst[:-1, :], 1, 0),
                                   (wy, src[:, :-1], dst[:, 1:], 0, 0),
                                   (wy, src[:, 1:], dst[:, :-1], 0, 1)):
-        k = np.flatnonzero(head & tail)
-        i, j = np.divmod(k, w.shape[1])
-        out.append(((i + di) * ny + j + dj, w.ravel()[k]))
+        i, j = np.divmod(np.flatnonzero(head & tail), w.shape[1])
+        out.append(((i + di) * ny + j + dj, w[i, j]))
     return out
 
 
@@ -511,10 +506,10 @@ def _pcg(fine, r, cfg: GridSolverConfig, lines=()):
     threshold = cfg.tolerance * max(b_norm, 1e-300)
     iterations = 0
     while r_norm > threshold:
-        if iterations >= cfg.max_iterations:
+        if iterations >= _MAX_ITERATIONS:
             raise ConvergenceError(
                 f"CG residual {r_norm:.3e} above {threshold:.3e} "
-                f"after {cfg.max_iterations} iterations"
+                f"after {_MAX_ITERATIONS} iterations"
             )
         product()
         alpha = rz / _dot(p, ap)
@@ -571,17 +566,16 @@ def grid_capacity(weight, F_mask, E_mask, domain_mask, grid: Grid2D,
                   cfg: GridSolverConfig) -> CapacityEstimate:
     """Minimize the discrete weighted Dirichlet energy with u=0 on F, u=1 on E.
 
-    5-point stencil; `weight` is weight(x, y) vectorized over arrays (None for
-    the unweighted problem), sampled at the midpoints of the edges with both
-    ends in the domain, or a pair (wx, wy) of x- and y-edge weights already
-    sampled on this grid. Edges with either end outside the domain are
-    dropped (natural boundary). Conjugate gradients in
-    float64 preconditioned by a float32 multigrid V-cycle, from a zero start,
-    stopped when the unpreconditioned residual falls to `cfg.tolerance`
-    relative to the right-hand side; the estimate records the iterations and
-    the final relative residual ||b - A u|| / ||b||, recomputed from u. In two
-    dimensions the grid spacing cancels: the energy is a plain weighted sum
-    of squared differences.
+    5-point stencil; `weight` is None for unit weights, which allocates no
+    weight array, or a pair (wx, wy) of x- and y-edge weight arrays of shapes
+    (nx-1, ny) and (nx, ny-1) (see `_edge_midpoint_weights`). Edges with
+    either end outside the domain are dropped (natural boundary). Conjugate
+    gradients in float64 preconditioned by a float32 multigrid V-cycle, from
+    a zero start, stopped when the unpreconditioned residual falls to
+    `cfg.tolerance` relative to the right-hand side; the estimate records the
+    iterations and the final relative residual ||b - A u|| / ||b||,
+    recomputed from u. In two dimensions the grid spacing cancels: the energy
+    is a plain weighted sum of squared differences.
 
     Along each axis where F, E, the domain and the kept edge weights equal
     their mirror images, the solution is symmetric too, and the problem is
@@ -603,7 +597,12 @@ def grid_capacity(weight, F_mask, E_mask, domain_mask, grid: Grid2D,
     if (F & ~dom).any() or (E & ~dom).any():
         raise MaskError("plates must be contained in the domain")
 
-    wx, wy = weight if isinstance(weight, tuple) else _edge_midpoint_weights(grid, weight, dom)
+    if weight is None:  # unit weights as read-only views of one 1.0
+        weight = (np.broadcast_to(1.0, (grid.nx - 1, grid.ny)),
+                  np.broadcast_to(1.0, (grid.nx, grid.ny - 1)))
+    if not isinstance(weight, tuple):
+        raise TypeError("weight must be None or a pair (wx, wy) of edge weight arrays")
+    wx, wy = weight
     if wx.shape != (grid.nx - 1, grid.ny) or wy.shape != (grid.nx, grid.ny - 1):
         raise MaskError("edge weight shapes must match the grid")
     # min is NaN if any entry is, and the empty weights of a one-node-wide grid pass
@@ -615,7 +614,7 @@ def grid_capacity(weight, F_mask, E_mask, domain_mask, grid: Grid2D,
         F, E, dom, wx, wy = _fold(F, E, dom, wx, wy, axis)
     # every edge from a free node ends in the domain, as do the plates
     fine, (gidx, to_f, to_e, fixed_energy), scale = _fine_level(wx, wy, F, E, dom & ~F & ~E)
-    del wx, wy  # for the unweighted problem, the last references to two grid arrays
+    del wx, wy  # frees the copies a fold made
     # the mirror lines of folded odd sides: the last row and the last column
     (nx, ny), n1 = F.shape, fine.shape[1]
     lines = [(slice((nx - 1) * n1, nx * n1), slice(ny - 1, None, n1))[axis]
@@ -648,10 +647,9 @@ def _annulus_grid(rho: float, R: float, resolution: int) -> Grid2D:
 def annulus_condenser(rho: float, R: float, resolution: int):
     """Grid and masks for the classical annulus condenser (F = inner disk)."""
     grid = _annulus_grid(rho, R, resolution)
-    X, Y = grid.nodes()
-    rr = np.hypot(X, Y)
-    dom = rr <= R + grid.h
-    F = rr <= rho
+    x, y = grid.axes()
+    rr = np.hypot(x[:, None], y[None, :])
+    dom, F = rr <= R + grid.h, rr <= rho
     E = (rr >= R) & dom
     return grid, F, E, dom
 
@@ -749,9 +747,10 @@ def tip_capacity_experiment(t_list, chain: MapChain, cfg: GridSolverConfig,
         raise DomainError("experiment needs the full chain")
 
     grid = _tip_grid(cfg.resolution)
-    rr = np.hypot(*grid.nodes())
-    dom = rr < 1.0
-    F = rr <= 0.25
+    x, y = grid.axes()
+    rr = np.hypot(x[:, None], y[None, :])
+    dom, F = rr < 1.0, rr <= 0.25
+    del rr  # not held through the solves
     # the solve reads only edges inside dom; K(conj z) = K(z) and the node
     # coordinates mirror about y = 0, so sample the half y <= 0 and mirror it
     m = grid.ny // 2
@@ -761,7 +760,7 @@ def tip_capacity_experiment(t_list, chain: MapChain, cfg: GridSolverConfig,
     wx[:, m + 1 :] = wx[:, m - 1 :: -1]
     wy[:, m:] = wy[:, m - 1 :: -1]
     # the nearest node to a point lies between the midpoints around it
-    x_cuts, y_cuts = (0.5 * (a[:-1] + a[1:]) for a in grid.axes())
+    x_cuts, y_cuts = 0.5 * (x[:-1] + x[1:]), 0.5 * (y[:-1] + y[1:])
 
     mass = math.e * math.pi
     rows = []

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import errno
 import functools
 import math
 import re
@@ -49,6 +50,9 @@ from .quadrature import (
 from .verify import run_suite, select_criteria
 
 __all__ = ["main"]
+
+# errnos of a write that failed after its file was opened: numeric, not usage
+_WRITE_FAILURES = {errno.ENOSPC, errno.EDQUOT, errno.EFBIG, errno.EIO}
 
 
 def _number(text: str, kind=float, what: str = "a number"):
@@ -505,6 +509,10 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:  # the only files a command opens are its --out outputs
+        if exc.errno in _WRITE_FAILURES:
+            path = "stdout" if args.out == "-" else args.out
+            print(f"error: writing {path}: {exc.strerror}", file=sys.stderr)
+            return 3
         print(f"{parser.prog}: error: argument --out: {exc}", file=sys.stderr)
         return 2
 

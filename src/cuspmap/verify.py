@@ -337,7 +337,7 @@ def run_criterion(index: int, out_dir=None, cg: float = 16.0) -> CriterionResult
     t0 = time.perf_counter()
     evidence = criterion(cg)
     elapsed = time.perf_counter() - t0
-    if out_dir:
+    if out_dir is not None:
         _write(os.path.join(out_dir, f"criterion-{index:02d}"), evidence.artifacts)
     return CriterionResult(index, name, evidence.passed and elapsed < budget, elapsed, budget,
                            evidence.details)
@@ -360,7 +360,10 @@ def select_criteria(only=None) -> list:
 
 def run_suite(out_dir=None, cg: float = 16.0, only=None):
     """Run selected criteria (all by default), printing each PASS/FAIL line;
-    returns the result list."""
+    returns the result list. An out_dir that cannot be made ("" or a file)
+    raises OSError before any criterion runs."""
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     results = []
     for idx in select_criteria(only):
         res = run_criterion(idx, out_dir, cg)

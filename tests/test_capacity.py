@@ -180,8 +180,9 @@ def test_grid_capacity_annulus_low_resolution():
 def test_grid_capacity_weight_linearity():
     grid, F, E, dom = annulus_condenser(0.25, 1.0, 64)
     cfg = GridSolverConfig(resolution=64)
-    base = grid_capacity(lambda x, y: np.ones_like(x), F, E, dom, grid, cfg)
-    scaled = grid_capacity(lambda x, y: 3.0 * np.ones_like(x), F, E, dom, grid, cfg)
+    ones = capacity_module._edge_midpoint_weights(grid, lambda x, y: np.ones_like(x), dom)
+    base = grid_capacity(ones, F, E, dom, grid, cfg)
+    scaled = grid_capacity(tuple(3.0 * w for w in ones), F, E, dom, grid, cfg)
     assert scaled.value == pytest.approx(3.0 * base.value, rel=1e-12)
 
 
@@ -198,11 +199,42 @@ def test_grid_capacity_mask_errors():
         grid_capacity(None, F[:10], E, dom, grid, cfg)
 
 
-def test_grid_capacity_iteration_budget():
+def test_grid_capacity_iteration_budget(monkeypatch):
     grid, F, E, dom = annulus_condenser(0.25, 1.0, 64)
-    with pytest.raises(ConvergenceError):
-        grid_capacity(None, F, E, dom, grid,
-                      GridSolverConfig(resolution=64, max_iterations=2))
+    monkeypatch.setattr(capacity_module, "_MAX_ITERATIONS", 2)
+    with pytest.raises(ConvergenceError, match="after 2 iterations"):
+        grid_capacity(None, F, E, dom, grid, GridSolverConfig(resolution=64))
+
+
+def test_a_weight_function_is_a_type_error():
+    grid, F, E, dom = annulus_condenser(0.25, 1.0, 16)
+    with pytest.raises(TypeError, match="None or a pair"):
+        grid_capacity(lambda x, y: np.ones_like(x), F, E, dom, grid,
+                      GridSolverConfig(resolution=16))
+
+
+def test_unit_weights_are_views_not_grid_arrays(monkeypatch):
+    # no grid-sized weight array: the symmetry test and, where nothing folds,
+    # the fine level read zero-stride views of one 1.0
+    strides = []
+    mirror_axes, fine_level = capacity_module._mirror_axes, capacity_module._fine_level
+
+    def record_mirror(F, E, dom, wx, wy):
+        strides.append(("mirror", wx.strides, wy.strides))
+        return mirror_axes(F, E, dom, wx, wy)
+
+    def record_fine(wx, wy, F, E, free):
+        strides.append(("fine", wx.strides, wy.strides))
+        return fine_level(wx, wy, F, E, free)
+
+    monkeypatch.setattr(capacity_module, "_mirror_axes", record_mirror)
+    monkeypatch.setattr(capacity_module, "_fine_level", record_fine)
+    grid, F, E, dom = annulus_condenser(0.25, 1.0, 32)  # folds along both axes
+    grid_capacity(None, F, E, dom, grid, GridSolverConfig(resolution=32))
+    grid, _, F, E, dom = rectangular_condenser(41, 64)  # does not fold
+    grid_capacity(None, F, E, dom, grid, GridSolverConfig(resolution=32))
+    views = [("mirror", (0, 0), (0, 0)), ("fine", (0, 0), (0, 0))]
+    assert strides[0] == views[0] and strides[2:] == views
 
 
 def reference_cg_energy(wx, wy, F, E, dom, tolerance=1e-12):
@@ -284,7 +316,7 @@ def test_preconditioned_solver_matches_plain_cg_on_the_tip_condenser(monkeypatch
 def rectangular_condenser(nx, ny):
     """An elliptic condenser on an nx x ny grid with a smooth varying weight."""
     grid = Grid2D(x0=0.0, y0=0.0, h=1.0 / 32.0, nx=nx, ny=ny)
-    X, Y = grid.nodes()
+    X, Y = np.meshgrid(*grid.axes(), indexing="ij")
     cx, cy = grid.h * (nx - 1) / 2.0, grid.h * (ny - 1) / 2.0
     rr = np.hypot((X - cx) / cx, (Y - cy) / cy)
     dom = rr <= 1.0
@@ -303,8 +335,8 @@ def rectangular_condenser(nx, ny):
 def test_preconditioned_solver_matches_plain_cg_on_rectangular_grids(nx, ny):
     # odd sides are padded to even ones inside the solver
     grid, weight, F, E, dom = rectangular_condenser(nx, ny)
-    cap = grid_capacity(weight, F, E, dom, grid, GridSolverConfig(resolution=32))
     wx, wy = capacity_module._edge_midpoint_weights(grid, weight, dom)
+    cap = grid_capacity((wx, wy), F, E, dom, grid, GridSolverConfig(resolution=32))
     reference = reference_cg_energy(wx, wy, F, E, dom)
     assert abs(cap.value - reference) <= 1e-9 * reference
     assert cap.iterations <= 18  # a float64 V-cycle over the same aggregates takes 15
@@ -317,7 +349,7 @@ def mirrored_condenser(nx, ny, even_in_x=True, even_in_y=True):
     F is a ring, so free nodes lie on both middle lines and at their crossing."""
     h = 1.0 / 32.0
     grid = Grid2D(x0=-h * (nx - 1) / 2.0, y0=-h * (ny - 1) / 2.0, h=h, nx=nx, ny=ny)
-    X, Y = grid.nodes()
+    X, Y = np.meshgrid(*grid.axes(), indexing="ij")
     rr = np.hypot(X / (h * nx / 2.0), Y / (h * ny / 2.0))
     dom = rr <= 1.0
     F, E = (rr > 0.12) & (rr <= 0.3), dom & (rr >= 0.85)
@@ -375,7 +407,7 @@ def test_folded_solve_matches_plain_cg_on_mirrored_condensers(nx, ny, even_x, ev
     wx, wy = capacity_module._edge_midpoint_weights(grid, weight, dom)
     assert capacity_module._mirror_axes(F, E, dom, wx, wy) == axes
     calls = recorded_pcg(monkeypatch)
-    cap = grid_capacity(weight, F, E, dom, grid, GridSolverConfig(resolution=32))
+    cap = grid_capacity((wx, wy), F, E, dom, grid, GridSolverConfig(resolution=32))
     (fine, u), = calls
     half = [(n + 1) // 2 if a in axes else n for a, n in enumerate((nx, ny))]
     assert fine.shape == tuple(n + n % 2 for n in half)
@@ -430,7 +462,8 @@ def test_solves_without_symmetry_are_bit_identical_to_the_unfolded_solver():
     got = {}
     for nx, ny in [(41, 64), (64, 41), (37, 51)]:
         grid, weight, F, E, dom = rectangular_condenser(nx, ny)
-        got[nx, ny] = grid_capacity(weight, F, E, dom, grid, GridSolverConfig(resolution=32))
+        weights = capacity_module._edge_midpoint_weights(grid, weight, dom)
+        got[nx, ny] = grid_capacity(weights, F, E, dom, grid, GridSolverConfig(resolution=32))
     assert {k: (c.value.hex(), c.iterations, c.residual.hex())
             for k, c in got.items()} == ASYMMETRIC_SOLVES
 
@@ -575,7 +608,8 @@ def test_weights_that_are_not_finite_and_nonnegative_are_mask_errors(bad, axis):
     with pytest.raises(MaskError, match="finite and nonnegative"):
         grid_capacity(tuple(weights), F, E, dom, grid, cfg)
     with pytest.raises(MaskError, match="finite and nonnegative"):
-        grid_capacity(lambda x, y: np.where(x > 0.5, bad, 1.0), F, E, dom, grid, cfg)
+        grid_capacity(capacity_module._edge_midpoint_weights(
+            grid, lambda x, y: np.where(x > 0.5, bad, 1.0), dom), F, E, dom, grid, cfg)
 
 
 @pytest.mark.parametrize("nx,ny", [(1, 5), (5, 1)])
@@ -616,7 +650,7 @@ def whole_grid_inverse_k(grid):
     def weight(x, y):
         return 1.0 / chain_distortion_values(x + 1j * y, chain)
 
-    X, Y = grid.nodes()
+    X, Y = np.meshgrid(*grid.axes(), indexing="ij")
     return weight, (weight(0.5 * (X[:-1, :] + X[1:, :]), 0.5 * (Y[:-1, :] + Y[1:, :])),
                     weight(0.5 * (X[:, :-1] + X[:, 1:]), 0.5 * (Y[:, :-1] + Y[:, 1:])))
 
@@ -633,7 +667,7 @@ def test_edge_weights_sampled_in_blocks_equal_one_whole_grid_call():
     wx, wy = capacity_module._edge_midpoint_weights(grid, weight, everywhere)
     assert wx.tobytes() == whole_x.tobytes() and wy.tobytes() == whole_y.tobytes()
     # a smaller node mask: the same bits on the edges inside it, 0 on the others
-    X, Y = grid.nodes()
+    X, Y = np.meshgrid(*grid.axes(), indexing="ij")
     where = np.hypot(X - 0.3, Y) < 0.8
     kx, ky = kept_edges(where)
     wx, wy = capacity_module._edge_midpoint_weights(grid, weight, where)
@@ -697,13 +731,41 @@ def test_grid_capacity_peak_memory():
     assert peak <= 11.6 * grid.nx * grid.ny * 8
 
 
+def traced_peak(run):
+    """The peak of traced memory while run() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_annulus_masks_peak_memory():
+    # radii from the two axes broadcast: one float64 node array and three
+    # masks, where two node coordinate arrays took 3.38 arrays in all
+    grid = capacity_module._annulus_grid(0.25, 1.0, 256)
+    peak = traced_peak(lambda: annulus_condenser(0.25, 1.0, 256))
+    assert peak <= 1.6 * grid.nx * grid.ny * 8
+
+
+def test_tip_experiment_peak_memory():
+    # the radii are dropped once the masks exist, not held through the
+    # solves: 8.03 node arrays at the peak instead of 9.02
+    chain, grid = MapChain.default(), capacity_module._tip_grid(128)
+    peak = traced_peak(lambda: tip_capacity_experiment(
+        [0.45, 0.3, 0.125], chain, GridSolverConfig(resolution=128)))
+    assert peak <= 8.5 * grid.nx * grid.ny * 8
+
+
 @pytest.mark.parametrize("scale", [1e40, 1e-40, 2.0**1000, 1e-300])
 def test_grid_capacity_weights_of_any_double_magnitude(scale):
     # the solver scales the weights by a power of two
     grid, F, E, dom = annulus_condenser(0.25, 1.0, 64)
     cfg = GridSolverConfig(resolution=64)
     base = grid_capacity(None, F, E, dom, grid, cfg)
-    scaled = grid_capacity(lambda x, y: np.full_like(x, scale), F, E, dom, grid, cfg)
+    scaled = grid_capacity(capacity_module._edge_midpoint_weights(
+        grid, lambda x, y: np.full_like(x, scale), dom), F, E, dom, grid, cfg)
     assert scaled.value == pytest.approx(scale * base.value, rel=1e-12)
     assert scaled.iterations == base.iterations
     assert scaled.residual <= cfg.tolerance
@@ -876,7 +938,7 @@ def test_square_grids_past_the_node_ceiling_are_domain_errors():
 
 def test_grid2d_geometry():
     grid = Grid2D.square(1.0, 32)
-    X, Y = grid.nodes()
+    X, Y = np.meshgrid(*grid.axes(), indexing="ij")
     assert X.shape == (grid.nx, grid.ny)
     assert X.min() == pytest.approx(-1.0) and X.max() == pytest.approx(1.0)
     assert grid.h == pytest.approx(1.0 / 32.0)

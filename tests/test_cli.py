@@ -556,6 +556,7 @@ def test_trace_residual_over_t2_at_cutoffs_near_and_below_the_normal_square(t, c
     ["capacity", "test-fn", "--r", "0.1", "--d", "1", "--out", "{missing}/x.json"],
     ["distortion", "field", "--format", "pgm", "--out", "{missing}/x.pgm"],
     ["verify", "--only", "9", "--out", "{file}"],
+    ["verify", "--only", "9", "--out", ""],  # refused before criterion 9 prints its line
 ])
 def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
     existing = tmp_path / "file"
@@ -567,6 +568,19 @@ def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
     (line,) = captured.err.splitlines()
     assert line.startswith("cuspmap: error: argument --out: ")
     assert existing.read_text() == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["capacity", "test-fn", "--r", "0.1", "--d", "1", "--out", "/dev/full"],
+    ["distortion", "field", "--nr", "4", "--ntheta", "4", "--format", "pgm", "--out", "/dev/full"],
+])
+def test_a_write_that_fails_after_the_open_is_a_numeric_failure(argv, capsys):
+    # /dev/full opens, and every write to it fails with ENOSPC
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: writing /dev/full: No space left on device"]
 
 
 def test_distortion_field_csv_is_the_per_cell_rendering_of_the_table(capsys):
