@@ -185,13 +185,11 @@ def superpolynomial_decay_check(s_list, r_list, log_energy_fn=None) -> DecayRepo
 @dataclass(frozen=True)
 class GridSolverConfig:
     resolution: int = 256          # cells per unit length
-    tolerance: float = 1e-8        # relative residual target
+    tolerance = 1e-8               # relative residual target: a constant, not a field
 
     def __post_init__(self):
         if self.resolution < 16:
             raise DomainError("resolution must be >= 16 cells per unit")
-        if not (self.tolerance > 0.0):
-            raise DomainError("tolerance must be positive")
 
 
 # CG iterations before ConvergenceError, and the most nodes of a grid: a
@@ -282,7 +280,7 @@ class _Level:
     with no edges and no ground (fixed, padded) have zero rows: the values
     they hold never reach another row. `smooth` is the damped inverse
     diagonal, 0 on such nodes; `x`, `rhs`, `res` and `tmp` are the V-cycle's
-    buffers, and `res` and `tmp` (one entry longer, for `apply`) are views of
+    buffers, and `res` and `tmp` (one entry longer, for `bind`) are views of
     one buffer that all levels share. `down` and `up` hold the views the
     V-cycle works through on this level, taken once by `_hierarchy`.
     """
@@ -291,11 +289,8 @@ class _Level:
         self.shape, self.wx, self.wy, self.gidx, self.gval = shape, wx, wy, gidx, gval
         self.smooth = self.x = self.rhs = self.res = self.tmp = self.down = self.up = None
 
-    def apply(self, u, out):
-        return self.bind(u, out)()
-
     def bind(self, u, out):
-        """apply(u, out) as a function of no arguments, its slices taken once."""
+        """out = A u as a function of no arguments, its slices taken once."""
         n, n1, gidx, gval = u.size, self.shape[1], self.gidx, self.gval
         # y-fluxes between zero ends: out_k = flux_{k-1} - flux_k in one pass,
         # the bits of -flux_k + flux_{k-1}; -0.0 matches even a zero's sign.
@@ -625,7 +620,7 @@ def grid_capacity(weight, F_mask, E_mask, domain_mask, grid: Grid2D,
     r[gidx] = to_e
     u, iterations, b_norm = _pcg(fine, r, cfg, lines)
     # b - A u; rows of nodes without unknowns are 0
-    r = fine.apply(u, r)
+    r = fine.bind(u, r)()
     r[gidx] -= to_e
     residual = _norm(r, lines) / max(b_norm, 1e-300)
     del r

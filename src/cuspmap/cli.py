@@ -32,7 +32,7 @@ from .capacity import (
 from .distortion import distortion_table, fit_growth_envelope
 from .domains import preimage_arc
 from .errors import DomainError, ToolkitError
-from .io_formats import csv_text, json_text, write_pgm
+from .io_formats import csv_text, json_text, pgm_bytes, write
 from .maps import (
     MapChain,
     MapStage,
@@ -47,12 +47,15 @@ from .quadrature import (
     distortion_exp_integral,
     distortion_power_integral,
 )
-from .verify import run_suite, select_criteria
+from .verify import disk_points, run_suite, select_criteria
 
 __all__ = ["main"]
 
 # errnos of a write that failed after its file was opened: numeric, not usage
 _WRITE_FAILURES = {errno.ENOSPC, errno.EDQUOT, errno.EFBIG, errno.EIO}
+
+# the most points a command turns into arrays: about 400 B each, 1 GB in all
+_MAX_POINTS = 2**21
 
 
 def _number(text: str, kind=float, what: str = "a number"):
@@ -156,7 +159,7 @@ def _band(text: str) -> list:
 def _chain_stages(text: str) -> tuple:
     """argparse type: the stages of a comma list of tokens, e.g. f1,f2,f3."""
     try:
-        return MapChain.from_tokens(text.split(","), ProfileParams()).stages
+        return MapChain(ProfileParams(), [MapStage(t.strip()) for t in text.split(",")]).stages
     except DomainError as exc:
         raise argparse.ArgumentTypeError(exc.args[0]) from None
 
@@ -168,23 +171,15 @@ def _chain_from(args) -> MapChain:
     return MapChain(params)
 
 
-def _emit(args, text: str) -> None:
-    if args.out and args.out != "-":
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _emit_table(args, header, rows) -> None:
     """Rows (row sequences or a 2-D float array) as CSV, or with --format json
     as a list of objects."""
     if args.format == "json":
         if isinstance(rows, np.ndarray):
             rows = rows.tolist()
-        _emit(args, json_text([dict(zip(header, row)) for row in rows]))
+        write(args.out, json_text([dict(zip(header, row)) for row in rows]))
     else:
-        _emit(args, csv_text(header, rows))
+        write(args.out, csv_text(header, rows))
 
 
 def _fold_config(argv, parser, pre):
@@ -231,8 +226,14 @@ def _check_radii(args) -> None:
                           "the distortion needs r <= 1")
 
 
+def _check_points(count: int, flags: str) -> None:
+    if count > _MAX_POINTS:
+        raise DomainError(f"{flags} make {count} points, above the maximum {_MAX_POINTS}")
+
+
 def _check_field(args) -> None:
     _check_radii(args)
+    _check_points(args.nr * args.ntheta, "--nr x --ntheta")
     if args.format == "pgm" and args.out == "-":
         raise DomainError("--format pgm needs --out FILE")
 
@@ -240,6 +241,8 @@ def _check_field(args) -> None:
 def _check_sample(args) -> None:
     if args.points is None and args.grid is None and args.random is None:
         raise DomainError("map sample needs --points, --grid or --random")
+    _check_points(len(args.points or []) + (args.grid or 0) ** 2 + (args.random or 0),
+                  "--points, --grid squared and --random")
 
 
 def _check_theorem1(args) -> None:
@@ -314,7 +317,7 @@ def _build_parser():
         lambda theta: fit_growth_envelope([1.0], theta, ProfileParams()), _parse_theta))
     fb.add_argument("--r-min", dest="r_lo", type=float, default=1e-30)
     fb.add_argument("--r-max", dest="r_hi", type=float, default=1e-2)
-    fb.add_argument("--n", type=_int_in(1), default=29)
+    fb.add_argument("--n", type=_int_in(1, _MAX_POINTS), default=29)
     fb.add_argument("--band", type=_band, default=[0.05, 2.0])
 
     p_int = _command(sub, "integrate", _cmd_integrate, cg=True,
@@ -323,11 +326,12 @@ def _build_parser():
     group.add_argument("--kpow", type=_checked(lambda p: _check_parameter("exponent", p)))
     group.add_argument("--explambda", type=_checked(lambda lam: _check_parameter("lambda", lam)))
     # the growth classifier needs at least six partial integrals
-    p_int.add_argument("--depth", type=_int_in(6), default=64,
+    # and 2^16 annuli, about 1.7 KB each, are 1.7e7 quadrature nodes
+    p_int.add_argument("--depth", type=_int_in(6, 2**16), default=64,
                        help="dyadic refinement depth")
     p_int.add_argument("--geometric-depth", type=_checked(AnnularScheme.geometric), default=None,
                        help="deep log-radius scheme: reach 2^-DEPTH geometrically")
-    p_int.add_argument("--steps", type=_int_in(6), default=48)
+    p_int.add_argument("--steps", type=_int_in(6, 2**16), default=48)
     p_int.add_argument("--chain", type=_chain_stages, default=None)
 
     p_cap = sub.add_parser("capacity", help="test functions, grid solves, tip experiment")
@@ -344,7 +348,8 @@ def _build_parser():
     th.add_argument("--t", required=True, type=_checked(
         lambda t: preimage_arc(t, MapChain.default(), 2), _parse_floats))
     th.add_argument("--resolution", type=_int_in(16), default=256)
-    th.add_argument("--arc-samples", type=_int_in(2), default=64)
+    # an arc sample holds about 33 KB of diameter blocks
+    th.add_argument("--arc-samples", type=_int_in(2, 2**14), default=64)
 
     p_ver = _command(sub, "verify", _cmd_verify, cg=True, help="run the certification suite")
     p_ver.add_argument("--only", type=_criterion_filter, default=None,
@@ -368,12 +373,7 @@ def _cmd_map_sample(args) -> int:
         grid = a + 1j * b
         parts.append(grid[np.hypot(a, b) <= 0.99])
     if args.random:
-        from .verify import halton
-
-        qr = halton(args.random, skip=20 + args.seed)
-        rad = 0.99 * np.sqrt(qr[:, 0])
-        ang = 2.0 * math.pi * qr[:, 1]
-        parts.append(rad * np.cos(ang) + 1j * (rad * np.sin(ang)))
+        parts.append(disk_points(args.random, skip=20 + args.seed))
     z = np.concatenate(parts)
     w = chain_values(z, chain)
     header = ["x1", "x2", "fx1", "fx2"]
@@ -403,7 +403,7 @@ def _cmd_distortion_field(args) -> int:
     else:
         table = np.ones((3,) + r.shape)
     if args.format == "pgm":
-        write_pgm(args.out, np.log10(table[2]), lo=0.0)
+        write(args.out, pgm_bytes(np.log10(table[2])))
     else:
         header = ["r", "theta", "op_norm", "jac_det", "K"]
         _emit_table(args, header, np.column_stack([v.ravel() for v in (r, theta, *table)]))
@@ -423,9 +423,9 @@ def _cmd_distortion_fit(args) -> int:
         "rows": [{"r": r, "ratio": q} for r, q in zip(fit.r_values, fit.ratios)],
     }
     if args.format == "csv":
-        _emit(args, csv_text(["r", "ratio"], list(zip(fit.r_values, fit.ratios))))
+        write(args.out, csv_text(["r", "ratio"], list(zip(fit.r_values, fit.ratios))))
     else:
-        _emit(args, json_text(payload))
+        write(args.out, json_text(payload))
     return 0
 
 
@@ -447,13 +447,13 @@ def _cmd_integrate(args) -> int:
         "log_partials": list(rep.log_partials),
         "increment_ratios": list(rep.ratio_stats),
     }
-    _emit(args, json_text(payload))
+    write(args.out, json_text(payload))
     return 0
 
 
 def _cmd_capacity_testfn(args) -> int:
     est = cusp_test_energy(args.r, args.d)
-    _emit(args, json_text({
+    write(args.out, json_text({
         "r": args.r, "d": args.d, "energy": est.value, "log_energy": est.log_value,
         "method": "closed-form",
     }))
@@ -468,7 +468,7 @@ def _cmd_capacity_grid(args) -> int:
     # take the difference of logs, so that every finite quotient keeps its bits
     ratio = R / rho
     exact = 2.0 * math.pi / (math.log(ratio) if ratio < math.inf else math.log(R) - math.log(rho))
-    _emit(args, json_text({
+    write(args.out, json_text({
         "rho": rho, "R": R, "resolution": args.resolution,
         "capacity": cap.value, "exact_continuum": exact,
         "rel_error": abs(cap.value - exact) / exact,
@@ -508,7 +508,7 @@ def main(argv=None) -> int:
     except (OverflowError, FloatingPointError, ZeroDivisionError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:  # the only files a command opens are its --out outputs
+    except OSError as exc:  # io_formats.write, the one writer of --out outputs
         if exc.errno in _WRITE_FAILURES:
             path = "stdout" if args.out == "-" else args.out
             print(f"error: writing {path}: {exc.strerror}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Deterministic, diffable output formats: CSV, canonical JSON, binary PGM.
+"""Deterministic, diffable output formats (CSV, canonical JSON, binary PGM) and their writer.
 
 Every floating-point number is written with 17 significant digits, enough to
 round-trip any double exactly; identical inputs therefore produce
@@ -14,10 +14,11 @@ through one template each.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-__all__ = ["fmt17", "csv_text", "json_text", "pgm_bytes", "write_pgm"]
+__all__ = ["fmt17", "csv_text", "json_text", "pgm_bytes", "write"]
 
 
 def fmt17(x) -> str:
@@ -129,21 +130,25 @@ def json_text(obj) -> str:
     return "".join(out) + "\n"
 
 
-def pgm_bytes(values: np.ndarray, lo: float = None, hi: float = None) -> bytes:
-    """Binary PGM (P5, maxval 255) of a 2D array, linearly clamped to [lo, hi]."""
+def pgm_bytes(values: np.ndarray) -> bytes:
+    """Binary PGM (P5, maxval 255) of a 2D array, clamped to [0, max] ([0, 1] if max <= 0)."""
     a = np.asarray(values, dtype=float)
     if a.ndim != 2:
         raise ValueError("heatmap needs a 2D array")
-    lo = float(np.min(a)) if lo is None else float(lo)
-    hi = float(np.max(a)) if hi is None else float(hi)
-    if hi <= lo:
-        hi = lo + 1.0
-    scaled = np.clip((a - lo) / (hi - lo), 0.0, 1.0)
+    hi = float(np.max(a))
+    if hi <= 0.0:
+        hi = 1.0
+    scaled = np.clip(a / hi, 0.0, 1.0)
     pixels = np.round(scaled * 255.0).astype(np.uint8)
     header = f"P5\n{a.shape[1]} {a.shape[0]}\n255\n".encode("ascii")
     return header + pixels.tobytes()
 
 
-def write_pgm(path, values, lo: float = None, hi: float = None) -> None:
+def write(path, data) -> None:
+    """Write text (as UTF-8, with its newlines as they are) or bytes to the
+    file at path, or text to stdout for '-'."""
+    if path == "-":
+        sys.stdout.write(data)
+        return
     with open(path, "wb") as fh:
-        fh.write(pgm_bytes(values, lo, hi))
+        fh.write(data.encode() if isinstance(data, str) else data)

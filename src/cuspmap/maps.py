@@ -55,11 +55,15 @@ def normalize_angle(theta):
 
 
 class MapStage(Enum):
-    """Chain stages; the value is the CLI spelling."""
+    """Chain stages; the value is the CLI spelling (any other is a DomainError)."""
 
     DISK_TO_HALFPLANE = "f1"
     CUSP = "f2"
     HALFPLANE_TO_DISK = "f3"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"unknown stage token {value!r}")
 
 
 _STAGE_ORDER = (MapStage.DISK_TO_HALFPLANE, MapStage.CUSP, MapStage.HALFPLANE_TO_DISK)
@@ -84,15 +88,6 @@ class MapChain:
     @classmethod
     def default(cls, cg: float = 16.0) -> "MapChain":
         return cls(ProfileParams(cg=cg))
-
-    @classmethod
-    def from_tokens(cls, tokens, params: ProfileParams) -> "MapChain":
-        by_token = {s.value: s for s in MapStage}
-        try:
-            stages = tuple(by_token[t.strip()] for t in tokens)
-        except KeyError as exc:
-            raise DomainError(f"unknown stage token {exc.args[0]!r}") from None
-        return cls(params, stages)
 
     def has_cusp(self) -> bool:
         return MapStage.CUSP in self.stages

@@ -35,7 +35,7 @@ from .distortion import (
     distortion_table,
     fit_growth_envelope,
 )
-from .io_formats import csv_text, json_text
+from .io_formats import csv_text, json_text, write
 from .maps import (
     MapChain,
     boundary_image_trace,
@@ -50,7 +50,7 @@ from .profile import ProfileParams, _curves
 from .quadrature import AnnularScheme, Verdict, distortion_exp_integrals, distortion_power_integrals
 
 __all__ = ["CriterionResult", "CRITERIA", "Evidence", "run_criterion", "run_suite",
-           "select_criteria", "halton"]
+           "select_criteria", "halton", "disk_points"]
 
 _HALF_PI = math.pi / 2.0
 
@@ -75,6 +75,15 @@ def halton(n: int, skip: int = 20) -> np.ndarray:
     return np.column_stack([axis(2), axis(3)])
 
 
+def disk_points(n: int, skip: int) -> np.ndarray:
+    """n quasi-random points of the disk |z| <= 0.99, uniform in area: the
+    Halton points after `skip` as squared radius and angle."""
+    pts = halton(n, skip)
+    rad = 0.99 * np.sqrt(pts[:, 0])
+    ang = 2.0 * math.pi * pts[:, 1]
+    return rad * np.cos(ang) + 1j * (rad * np.sin(ang))
+
+
 @dataclass
 class CriterionResult:
     index: int
@@ -97,14 +106,6 @@ class Evidence:
     passed: bool
     details: dict
     artifacts: dict
-
-
-def _write(out_dir, artifacts: dict) -> None:
-    """Each name -> text of `artifacts` as a file in out_dir (created)."""
-    os.makedirs(out_dir, exist_ok=True)
-    for name, text in artifacts.items():
-        with open(os.path.join(out_dir, name), "w", newline="\n") as fh:
-            fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +153,7 @@ def criterion_2(cg: float = 16.0) -> Evidence:
     params = ProfileParams(cg=cg)
     chain = MapChain(params)
 
-    pts = halton(1000, skip=11)
-    rad = 0.99 * np.sqrt(pts[:, 0])
-    ang = 2.0 * math.pi * pts[:, 1]
-    x = rad * np.cos(ang) + 1j * (rad * np.sin(ang))
+    x = disk_points(1000, skip=11)
     worst_rt = float(np.max(np.abs(chain_inverse_values(chain_values(x, chain), chain) - x)))
 
     log_radii = np.linspace(math.log(1e-12), 0.0, 200)
@@ -338,7 +336,10 @@ def run_criterion(index: int, out_dir=None, cg: float = 16.0) -> CriterionResult
     evidence = criterion(cg)
     elapsed = time.perf_counter() - t0
     if out_dir is not None:
-        _write(os.path.join(out_dir, f"criterion-{index:02d}"), evidence.artifacts)
+        out = os.path.join(out_dir, f"criterion-{index:02d}")
+        os.makedirs(out, exist_ok=True)
+        for file_name, text in evidence.artifacts.items():
+            write(os.path.join(out, file_name), text)
     return CriterionResult(index, name, evidence.passed and elapsed < budget, elapsed, budget,
                            evidence.details)
 
@@ -370,10 +371,10 @@ def run_suite(out_dir=None, cg: float = 16.0, only=None):
         results.append(res)
         print(res.line())
     if out_dir is not None:
-        _write(out_dir, {"summary.json": json_text({
+        write(os.path.join(out_dir, "summary.json"), json_text({
             "cg": cg,
             "criteria": [{"index": r.index, "name": r.name, "passed": r.passed,
                           "details": r.details} for r in results],
             "all_passed": all(r.passed for r in results),
-        })})
+        }))
     return results

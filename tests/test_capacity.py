@@ -569,7 +569,7 @@ def assert_stencil_and_v_cycle_bit_identical(fine):
         u = rng.standard_normal(level.wx.size).astype(level.wx.dtype)
         u[1::2] = u[::2]
         out = np.empty_like(u)
-        assert level.apply(u, out) is out
+        assert level.bind(u, out)() is out
         assert out.tobytes() == eight_pass_apply(level, u).tobytes()
     p, ap = rng.standard_normal(fine.wx.size), np.empty(fine.wx.size)
     product = fine.bind(p, ap)

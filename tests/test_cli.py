@@ -1,10 +1,10 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
+import importlib.util
 import itertools
 import json
 import math
 import os
-import shlex
 import subprocess
 import sys
 import warnings
@@ -16,10 +16,14 @@ import pytest
 from cuspmap import cli
 from cuspmap.cli import main
 from cuspmap.distortion import distortion_table
+from cuspmap.io_formats import pgm_bytes
 from cuspmap.profile import ProfileParams
 from cuspmap.verify import select_criteria
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifact_digests.py"
+_spec = importlib.util.spec_from_file_location("artifact_digests", _TOOL)
+artifact_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(artifact_digests)
 
 
 def run(args, capsys):
@@ -89,6 +93,14 @@ def test_distortion_field_conformal_chain(capsys):
     assert all(float(r["K"]) == 1.0 for r in rows)
 
 
+def default_field(nr, ntheta):
+    """r, theta and distortion_table of `distortion field --nr NR --ntheta NTHETA`."""
+    rs = np.geomspace(1e-8, 1.0, nr)
+    thetas = -math.pi / 2.0 + 2.0 * math.pi * (np.arange(ntheta) + 0.5) / ntheta
+    r, theta = np.meshgrid(rs, thetas, indexing="ij")
+    return r, theta, distortion_table(np.log(r), theta, ProfileParams())
+
+
 def test_distortion_field_pgm(tmp_path, capsys):
     out_file = tmp_path / "field.pgm"
     code, _ = run(["distortion", "field", "--nr", "32", "--ntheta", "48",
@@ -97,6 +109,7 @@ def test_distortion_field_pgm(tmp_path, capsys):
     blob = out_file.read_bytes()
     assert blob.startswith(b"P5\n48 32\n255\n")
     assert len(blob.split(b"255\n", 1)[1]) == 32 * 48
+    assert blob == pgm_bytes(np.log10(default_field(32, 48)[2][2]))
 
 
 def test_distortion_fit_bound_passes_on_outer_ray(capsys):
@@ -344,6 +357,34 @@ def test_grids_past_the_node_ceiling_are_usage_errors(argv, capsys, monkeypatch)
     assert "nodes" in capsys.readouterr().err
 
 
+@pytest.fixture
+def bodies_fail(monkeypatch):
+    """Every command body fails the test, in a parser built around them."""
+    for name in list(vars(cli)):
+        if name.startswith("_cmd_"):
+            monkeypatch.setattr(cli, name, lambda args: pytest.fail("command body ran"))
+    cli._build_parser.cache_clear()
+    yield
+    cli._build_parser.cache_clear()  # before monkeypatch restores the bodies
+
+
+@pytest.mark.parametrize("argv", [
+    ["map", "sample", "--grid", "1449"],
+    ["map", "sample", "--random", "2097153"],
+    ["map", "sample", "--points=0,0", "--grid", "1024", "--random", "1048576"],
+    ["distortion", "field", "--nr", "1", "--ntheta", "2097153"],
+    ["distortion", "fit-bound", "--theta", "pi", "--n", "2097153"],
+    ["integrate", "--kpow", "2", "--depth", "65537"],
+    ["integrate", "--kpow", "2", "--geometric-depth", "100", "--steps", "65537"],
+    ["capacity", "theorem1", "--t", "0.25", "--arc-samples", "16385"],
+])
+def test_counts_past_their_ceiling_are_usage_errors(argv, bodies_fail, capsys):
+    # one above each ceiling, refused before the body builds an array
+    assert usage_exit_code(argv) == 2
+    (line,) = [l for l in capsys.readouterr().err.splitlines() if "error:" in l]
+    assert "above the maximum" in line
+
+
 @pytest.mark.parametrize("argv", [
     ["distortion", "field", "--r-min", "0"],
     ["distortion", "field", "--r-min", "-1e-3"],
@@ -557,6 +598,7 @@ def test_trace_residual_over_t2_at_cutoffs_near_and_below_the_normal_square(t, c
     ["distortion", "field", "--format", "pgm", "--out", "{missing}/x.pgm"],
     ["verify", "--only", "9", "--out", "{file}"],
     ["verify", "--only", "9", "--out", ""],  # refused before criterion 9 prints its line
+    ["map", "trace-boundary", "--t", "0.1", "--out", ""],
 ])
 def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
     existing = tmp_path / "file"
@@ -587,10 +629,7 @@ def test_distortion_field_csv_is_the_per_cell_rendering_of_the_table(capsys):
     code, out = run(["distortion", "field", "--nr", "64", "--ntheta", "64",
                      "--format", "csv"], capsys)
     assert code == 0
-    rs = np.geomspace(1e-8, 1.0, 64)
-    thetas = -math.pi / 2.0 + 2.0 * math.pi * (np.arange(64) + 0.5) / 64
-    r, theta = np.meshgrid(rs, thetas, indexing="ij")
-    table = distortion_table(np.log(r), theta, ProfileParams())
+    r, theta, table = default_field(64, 64)
     columns = [v.ravel().tolist() for v in (r, theta, *table)]
     expected = "r,theta,op_norm,jac_det,K\n" + "".join(
         ",".join(format(v, ".17g") for v in row) + "\n" for row in zip(*columns))
@@ -643,11 +682,8 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
-def readme_commands():
-    """The cuspmap examples of the README's "Command line" block, but verify."""
-    block = README.read_text().split("## Command line", 1)[1].split("```", 2)[1]
-    return [shlex.split(line)[1:] for line in block.splitlines()
-            if line.startswith("cuspmap ") and not line.startswith("cuspmap verify")]
+# the README's "Command line" block is parsed in one place, the digest tool
+readme_commands = artifact_digests.readme_commands
 
 
 def test_readme_lists_the_command_examples():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspmap import io_formats
-from cuspmap.io_formats import csv_text, fmt17, json_text, pgm_bytes
+from cuspmap.io_formats import csv_text, fmt17, json_text, pgm_bytes, write
 
 
 @pytest.mark.parametrize(
@@ -59,6 +59,22 @@ def test_pgm_layout():
     assert len(pixels) == 12
     assert pixels[0] == 0 and pixels[-1] == 255
     assert pgm_bytes(data) == blob
+
+
+def test_write_text_and_bytes_to_files_and_text_to_stdout(tmp_path, capsys):
+    text = csv_text(["x", "y"], [(0.1, "a"), (2.0, "b")])
+    write(tmp_path / "t.csv", text)
+    # as a text-mode file opened with newline="\n" writes it: LF, no BOM
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="\n", encoding="utf-8") as fh:
+        fh.write(text)
+    assert (tmp_path / "t.csv").read_bytes() == reference.read_bytes()
+    assert reference.read_bytes() == b"x,y\n0.10000000000000001,a\n2,b\n"
+    blob = pgm_bytes(np.eye(3))
+    write(tmp_path / "h.pgm", blob)
+    assert (tmp_path / "h.pgm").read_bytes() == blob
+    write("-", text)
+    assert capsys.readouterr().out == text
 
 
 def reference_csv(header, rows):

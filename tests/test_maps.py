@@ -221,10 +221,8 @@ def test_chain_order_validation():
         MapChain(PARAMS, (MapStage.CUSP, MapStage.DISK_TO_HALFPLANE))
     with pytest.raises(DomainError):
         MapChain(PARAMS, ())
-    tokens = MapChain.from_tokens(["f1", "f3"], PARAMS)
-    assert tokens.stages == (MapStage.DISK_TO_HALFPLANE, MapStage.HALFPLANE_TO_DISK)
-    with pytest.raises(DomainError):
-        MapChain.from_tokens(["f4"], PARAMS)
+    with pytest.raises(DomainError, match="unknown stage token 'f4'"):
+        MapStage("f4")
 
 
 def test_chain_boundary_point_to_origin():
