@@ -241,8 +241,17 @@ def _check_field(args) -> None:
 def _check_sample(args) -> None:
     if args.points is None and args.grid is None and args.random is None:
         raise DomainError("map sample needs --points, --grid or --random")
+    if args.seed is not None and args.random is None:
+        raise DomainError("--seed needs --random")
     _check_points(len(args.points or []) + (args.grid or 0) ** 2 + (args.random or 0),
                   "--points, --grid squared and --random")
+
+
+def _check_integrate(args) -> None:
+    if args.geometric_depth is None and args.steps is not None:
+        raise DomainError("--steps needs --geometric-depth")
+    if args.geometric_depth is not None and args.depth is not None:
+        raise DomainError("--depth and --geometric-depth exclude each other")
 
 
 def _check_theorem1(args) -> None:
@@ -252,17 +261,18 @@ def _check_theorem1(args) -> None:
 
 
 def _command(sub, name, run, check=lambda args: None, formats=(), cg=False, **kw):
-    """A subcommand parser bound to its body and its cross-option check, with
-    --out, --config and, where the body reads them, --format and --cg."""
+    """A subcommand parser bound to its body, its cross-option check and its
+    own error report, with --out, --config and, where the body reads them,
+    --format and --cg."""
     p = sub.add_parser(name, **kw)
-    p.set_defaults(run=run, check=check)
+    p.set_defaults(run=run, check=check, error=p.error)
     p.add_argument("--out", default="-", help="output path ('-' for stdout)")
     p.add_argument("--config", default=None, help="plain key=value file supplying flag defaults")
     if formats:
         p.add_argument("--format", choices=formats, default=formats[0])
     if cg:
-        p.add_argument("--cg", type=_checked(lambda cg: ProfileParams(cg=cg)), default=16.0,
-                       help="cusp constant inside the double logarithm (default 16)")
+        p.add_argument("--cg", type=_checked(lambda cg: ProfileParams(cg=cg)), default=ProfileParams.cg,
+                       help=f"cusp constant in the double logarithm (default {ProfileParams.cg:g})")
     return p
 
 
@@ -295,8 +305,8 @@ def _build_parser():
                     help="NxN Cartesian grid over the disk")
     ms.add_argument("--random", type=_int_in(1), default=None,
                     help="N quasi-random disk points (offset by --seed)")
-    ms.add_argument("--seed", type=_int_in(0, 2**62), default=0,
-                    help="offset of the quasi-random sequence, 0 to 2^62")
+    ms.add_argument("--seed", type=_int_in(0, 2**62), default=None,
+                    help="offset of the --random sequence, 0 (default) to 2^62")
     ms.add_argument("--roundtrip", action="store_true", help="append inverse-error column")
     mt = _command(map_sub, "trace-boundary", _cmd_map_trace, formats=table)
     mt.add_argument("--t", required=True, help="comma-separated boundary parameters in (0, 1)",
@@ -320,18 +330,19 @@ def _build_parser():
     fb.add_argument("--n", type=_int_in(1, _MAX_POINTS), default=29)
     fb.add_argument("--band", type=_band, default=[0.05, 2.0])
 
-    p_int = _command(sub, "integrate", _cmd_integrate, cg=True,
+    p_int = _command(sub, "integrate", _cmd_integrate, _check_integrate, cg=True,
                      help="partial integrals of K^p or exp(lambda K)")
     group = p_int.add_mutually_exclusive_group(required=True)
     group.add_argument("--kpow", type=_checked(lambda p: _check_parameter("exponent", p)))
     group.add_argument("--explambda", type=_checked(lambda lam: _check_parameter("lambda", lam)))
     # the growth classifier needs at least six partial integrals
     # and 2^16 annuli, about 1.7 KB each, are 1.7e7 quadrature nodes
-    p_int.add_argument("--depth", type=_int_in(6, 2**16), default=64,
-                       help="dyadic refinement depth")
+    p_int.add_argument("--depth", type=_int_in(6, 2**16), default=None,
+                       help="dyadic refinement depth (default 64)")
     p_int.add_argument("--geometric-depth", type=_checked(AnnularScheme.geometric), default=None,
                        help="deep log-radius scheme: reach 2^-DEPTH geometrically")
-    p_int.add_argument("--steps", type=_int_in(6, 2**16), default=48)
+    p_int.add_argument("--steps", type=_int_in(6, 2**16), default=None,
+                       help="partial integrals of --geometric-depth (default 48)")
     p_int.add_argument("--chain", type=_chain_stages, default=None)
 
     p_cap = sub.add_parser("capacity", help="test functions, grid solves, tip experiment")
@@ -373,7 +384,7 @@ def _cmd_map_sample(args) -> int:
         grid = a + 1j * b
         parts.append(grid[np.hypot(a, b) <= 0.99])
     if args.random:
-        parts.append(disk_points(args.random, skip=20 + args.seed))
+        parts.append(disk_points(args.random, skip=20 + (args.seed or 0)))
     z = np.concatenate(parts)
     w = chain_values(z, chain)
     header = ["x1", "x2", "fx1", "fx2"]
@@ -432,9 +443,9 @@ def _cmd_distortion_fit(args) -> int:
 def _cmd_integrate(args) -> int:
     chain = _chain_from(args)
     if args.geometric_depth is not None:
-        scheme = AnnularScheme.geometric(args.geometric_depth, args.steps)
+        scheme = AnnularScheme.geometric(args.geometric_depth, args.steps or 48)
     else:
-        scheme = AnnularScheme.dyadic(args.depth)
+        scheme = AnnularScheme.dyadic(args.depth or 64)
     if args.kpow is not None:
         rep = distortion_power_integral(args.kpow, scheme, chain)
     else:
@@ -499,7 +510,7 @@ def main(argv=None) -> int:
     try:  # the range checks on values that only make sense together
         args.check(args)
     except DomainError as exc:
-        parser.error(exc.args[0])
+        args.error(exc.args[0])
     try:
         return args.run(args)
     except ToolkitError as exc:

@@ -25,6 +25,8 @@ import numpy as np
 
 from .errors import DomainError, SeamError
 from .maps import (
+    _HALF_PI,
+    _SECTORS,
     _TO_HALFPLANE,
     MapChain,
     MapStage,
@@ -48,8 +50,6 @@ __all__ = [
     "chain_distortion_values",
     "fit_growth_envelope",
 ]
-
-_HALF_PI = math.pi / 2.0
 
 
 @dataclass(frozen=True)
@@ -123,14 +123,6 @@ def _invariants(logr, theta, log_cg):
     return np.where(logr > 0.0, np.maximum(tang, 1.0 / tang), k), norm2, det, s
 
 
-def _table(logr, theta, log_cg):
-    """(op_norm, jac_det, K) at log-radii of any sign and normalized angles."""
-    k, norm2, det, s = _invariants(logr, theta, log_cg)
-    with np.errstate(over="ignore", divide="ignore"):
-        r = np.exp(np.minimum(logr, 0.0))
-        return np.ldexp(np.sqrt(norm2), -s) / r, np.ldexp(det, -2 * s) / r / r, k
-
-
 def _check_closed_form(logr):
     if np.any(logr > 0.0):
         raise DomainError("closed-form distortion needs r <= 1")
@@ -155,7 +147,10 @@ def distortion_table(logr, theta, params: ProfileParams):
     """
     logr = np.asarray(logr, dtype=float)
     _check_closed_form(logr)
-    return _table(logr, np.asarray(theta, dtype=float), params.log_cg())
+    k, norm2, det, s = _invariants(logr, np.asarray(theta, dtype=float), params.log_cg())
+    with np.errstate(over="ignore", divide="ignore"):
+        r = np.exp(logr)
+        return np.ldexp(np.sqrt(norm2), -s) / r, np.ldexp(det, -2 * s) / r / r, k
 
 
 # math.log and math.hypot element by element: numpy's own can differ in the
@@ -191,7 +186,7 @@ def cusp_jacobian_fd_values(r, theta, params: ProfileParams, h: float = 1e-7):
     r, theta = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(theta, dtype=float))
     _check_unit_radii(r, "finite differences")
     hr = h * r
-    for seam in (-_HALF_PI, _HALF_PI, 3.0 * _HALF_PI):
+    for seam in (*_SECTORS[0], _SECTORS[1][1]):
         near = np.abs(theta - seam) < 2.0 * h
         if np.any(near):
             raise SeamError(f"theta {theta[near][0]} within 2h of seam {seam}")
@@ -236,17 +231,6 @@ def distortion(m: Jacobian2) -> DistortionSample:
                                 float(np.ldexp(det, -2 * s)), float(k) if regular else 1.0)
 
 
-def _chain_polar(points, chain: MapChain):
-    """log r and angle at the squeeze stage of complex source points, and
-    the mask of points where the squeeze is regular (not at its singular
-    preimage or the first Mobius pole)."""
-    z = np.asarray(points, dtype=complex)
-    w = _mobius_values(z, *_TO_HALFPLANE) if MapStage.DISK_TO_HALFPLANE in chain.stages else z
-    r, theta = _polar(w)
-    good = np.isfinite(r) & (r > 0.0)
-    return np.log(np.where(good, r, 1.0)), theta, good
-
-
 def chain_distortion_values(points, chain: MapChain):
     """Vectorized chain K at an array of complex source points.
 
@@ -255,7 +239,11 @@ def chain_distortion_values(points, chain: MapChain):
     """
     if not chain.has_cusp():
         return np.ones(np.shape(points))
-    logr, theta, good = _chain_polar(points, chain)
+    z = np.asarray(points, dtype=complex)
+    w = _mobius_values(z, *_TO_HALFPLANE) if MapStage.DISK_TO_HALFPLANE in chain.stages else z
+    r, theta = _polar(w)
+    good = np.isfinite(r) & (r > 0.0)  # not the singular preimage or the first pole
+    logr = np.log(np.where(good, r, 1.0))
     return np.where(good, _invariants(logr, theta, chain.params.log_cg())[0], 1.0)
 
 

@@ -39,6 +39,7 @@ __all__ = [
 
 _HALF_PI = math.pi / 2.0
 _TWO_PI = 2.0 * math.pi
+_SECTORS = ((-_HALF_PI, _HALF_PI), (_HALF_PI, 3.0 * _HALF_PI))  # inner, outer
 
 
 def normalize_angle(theta):
@@ -86,7 +87,7 @@ class MapChain:
             raise DomainError("stages must be distinct and in f1 -> f2 -> f3 order")
 
     @classmethod
-    def default(cls, cg: float = 16.0) -> "MapChain":
+    def default(cls, cg: float = ProfileParams.cg) -> "MapChain":
         return cls(ProfileParams(cg=cg))
 
     def has_cusp(self) -> bool:
@@ -138,6 +139,19 @@ def _polar(w):
     return np.abs(w), np.where(theta < -_HALF_PI, theta + _TWO_PI, theta)
 
 
+def _polar_stage(polar_map):
+    """polar_map(r, theta, params) -> (rho, phi) as a stage on complex arrays;
+    the stage fixes 0 and infinity."""
+
+    def values(w, params: ProfileParams):
+        r, theta = _polar(w)
+        regular = np.isfinite(r) & (r > 0.0)
+        rho, phi = polar_map(np.where(regular, r, 1.0), theta, params)
+        return np.where(regular, rho * np.cos(phi) + 1j * (rho * np.sin(phi)), w)
+
+    return values
+
+
 def _squeeze_polar(r, theta, params: ProfileParams):
     """Image polar coordinates (rho, phi) of arrays r > 0 and normalized theta.
 
@@ -152,14 +166,6 @@ def _squeeze_polar(r, theta, params: ProfileParams):
     phi = np.where(np.abs(theta) < _HALF_PI, inner_angle_map(theta, half_angle),
                    outer_angle_map(outer_theta, half_angle))
     return np.where(r > 1.0, r * G, G), phi
-
-
-def _squeeze_values(w, params: ProfileParams):
-    """The squeeze on a complex array; it fixes 0 and infinity."""
-    r, theta = _polar(w)
-    regular = np.isfinite(r) & (r > 0.0)
-    rho, phi = _squeeze_polar(np.where(regular, r, 1.0), theta, params)
-    return np.where(regular, rho * np.cos(phi) + 1j * (rho * np.sin(phi)), w)
 
 
 # log r range of the inverse radius solve: below the floor an image radius
@@ -223,14 +229,6 @@ def _squeeze_inv_polar(rho, phi, params: ProfileParams):
     return np.where(beyond, rho / g_ends[1], np.exp(u)), theta
 
 
-def _squeeze_inv_values(w, params: ProfileParams):
-    """Inverse squeeze on a complex array; it fixes 0 and infinity."""
-    rho, phi = _polar(w)
-    regular = np.isfinite(rho) & (rho > 0.0)
-    r, theta = _squeeze_inv_polar(np.where(regular, rho, 1.0), phi, params)
-    return np.where(regular, r * np.cos(theta) + 1j * (r * np.sin(theta)), w)
-
-
 # ---------------------------------------------------------------------------
 # Chain composition
 # ---------------------------------------------------------------------------
@@ -239,7 +237,7 @@ def _squeeze_inv_values(w, params: ProfileParams):
 _STAGE_VALUES = {
     MapStage.DISK_TO_HALFPLANE: (lambda z, params: _mobius_values(z, *_TO_HALFPLANE),
                                  lambda w, params: _mobius_values(w, *_TO_HALFPLANE_INV)),
-    MapStage.CUSP: (_squeeze_values, _squeeze_inv_values),
+    MapStage.CUSP: (_polar_stage(_squeeze_polar), _polar_stage(_squeeze_inv_polar)),
     MapStage.HALFPLANE_TO_DISK: (lambda z, params: _mobius_values(z, *_TO_DISK),
                                  lambda w, params: _mobius_values(w, *_TO_DISK_INV)),
 }

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, InsufficientData, NodeError
-from .maps import MapChain
+from .maps import _SECTORS, MapChain
 from .distortion import distortion_values
 
 __all__ = [
@@ -36,9 +36,7 @@ __all__ = [
     "distortion_exp_integrals",
 ]
 
-_HALF_PI = math.pi / 2.0
 _LOG2 = math.log(2.0)
-_SECTORS = ((-_HALF_PI, _HALF_PI), (_HALF_PI, 3.0 * _HALF_PI))
 # Quadrature nodes per log-field call. A call holds about 80 bytes per node
 # in temporaries, so this bounds a report's memory for deep dyadic schemes;
 # the schemes of the verify suite and the README fit into one call.
@@ -70,6 +68,8 @@ class AnnularScheme:
     log2_eps lists the inner radii of the partial integrals as log2 values,
     strictly decreasing; each consecutive pair is one reporting annulus,
     subdivided into `annuli_per_step` equal log-width bands for quadrature.
+    `dyadic` and `geometric` give the default node counts;
+    `dataclasses.replace` sets others.
     """
 
     log2_eps: tuple
@@ -87,15 +87,12 @@ class AnnularScheme:
             raise DomainError("node and subdivision counts must be >= 2 (subdivision >= 1)")
 
     @classmethod
-    def dyadic(cls, depth: int = 64, annuli_per_step: int = 1,
-               radial_nodes: int = 8, angular_nodes: int = 16) -> "AnnularScheme":
+    def dyadic(cls, depth: int = 64) -> "AnnularScheme":
         """Octave-by-octave refinement: eps = 2^-1, ..., 2^-depth."""
-        return cls(tuple(float(-k) for k in range(0, depth + 1)),
-                   annuli_per_step, radial_nodes, angular_nodes)
+        return cls(tuple(float(-k) for k in range(0, depth + 1)))
 
     @classmethod
-    def geometric(cls, max_depth: float, steps: int = 48, annuli_per_step: int = 1,
-                  radial_nodes: int = 8, angular_nodes: int = 16) -> "AnnularScheme":
+    def geometric(cls, max_depth: float, steps: int = 48) -> "AnnularScheme":
         """Geometrically deepening exponents: reaches 2^-max_depth in `steps`.
 
         The deepest log-radius, -max_depth ln 2, may not pass -1e300, where
@@ -105,7 +102,7 @@ class AnnularScheme:
             raise DomainError(
                 f"geometric depth must be above 1 with depth * ln 2 <= 1e300, got {max_depth}")
         ks = -np.geomspace(1.0, max_depth, steps)
-        return cls((0.0,) + tuple(ks), annuli_per_step, radial_nodes, angular_nodes)
+        return cls((0.0,) + tuple(ks))
 
 
 def _annulus_nodes(u_in, u_out, bands, radial, angular):

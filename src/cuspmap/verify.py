@@ -37,6 +37,8 @@ from .distortion import (
 )
 from .io_formats import csv_text, json_text, write
 from .maps import (
+    _HALF_PI,
+    _SECTORS,
     MapChain,
     boundary_image_trace,
     chain_inverse_values,
@@ -51,8 +53,6 @@ from .quadrature import AnnularScheme, Verdict, distortion_exp_integrals, distor
 
 __all__ = ["CriterionResult", "CRITERIA", "Evidence", "run_criterion", "run_suite",
            "select_criteria", "halton", "disk_points"]
-
-_HALF_PI = math.pi / 2.0
 
 
 def halton(n: int, skip: int = 20) -> np.ndarray:
@@ -119,21 +119,15 @@ def _halton_polar(n, r_lo, r_hi, theta_lo, theta_hi, skip=20):
     return r, t
 
 
-def criterion_1(cg: float = 16.0, jacobian_fn=None) -> Evidence:
-    """Analytic differential vs central finite differences of the raw map.
-
-    `jacobian_fn(r, theta, params)` returns the analytic entries
-    (a11, a12, a21, a22) at arrays of radii and normalized angles.
-    """
+def criterion_1(cg: float) -> Evidence:
+    """Analytic differential vs central finite differences of the raw map."""
     params = ProfileParams(cg=cg)
-    jacobian_fn = jacobian_fn or cusp_jacobian_values
     margin = 1e-3
     devs, rows = [], []
-    for sector, (tlo, thi) in (("inner", (-_HALF_PI + margin, _HALF_PI - margin)),
-                               ("outer", (_HALF_PI + margin, 3 * _HALF_PI - margin))):
-        rs, ts = _halton_polar(1000, 1e-6, 0.9, tlo, thi, skip=17)
+    for sector, (tlo, thi) in zip(("inner", "outer"), _SECTORS):
+        rs, ts = _halton_polar(1000, 1e-6, 0.9, tlo + margin, thi - margin, skip=17)
         theta = normalize_angle(ts)
-        a = jacobian_fn(rs, theta, params)
+        a = cusp_jacobian_values(rs, theta, params)
         f = cusp_jacobian_fd_values(rs, theta, params, h=1e-7)
         # Python's x**2, not a numpy square: the two can differ in the last bit
         fro = np.array([math.sqrt(a11**2 + a12**2 + a21**2 + a22**2)
@@ -148,7 +142,7 @@ def criterion_1(cg: float = 16.0, jacobian_fn=None) -> Evidence:
                      csv_text(["sector", "r", "theta", "rel_deviation"], rows)})
 
 
-def criterion_2(cg: float = 16.0) -> Evidence:
+def criterion_2(cg: float) -> Evidence:
     """Round trip, seam continuity, and orientation of the chain."""
     params = ProfileParams(cg=cg)
     chain = MapChain(params)
@@ -171,7 +165,7 @@ def criterion_2(cg: float = 16.0) -> Evidence:
     return Evidence(passed, details, {"homeomorphism_sanity.json": json_text(details)})
 
 
-def criterion_3(cg: float = 16.0) -> Evidence:
+def criterion_3(cg: float) -> Evidence:
     """Distortion against the log * loglog envelope: band and theta=pi limit.
 
     Encodes the stated targets: every sampled ratio in [0.05, 2.0] over
@@ -195,7 +189,7 @@ def criterion_3(cg: float = 16.0) -> Evidence:
                     {"envelope_ratios.csv": csv_text(["theta", "r", "ratio"], rows)})
 
 
-def criterion_4(cg: float = 16.0) -> Evidence:
+def criterion_4(cg: float) -> Evidence:
     """Every power of the distortion integrates: convergent verdicts."""
     chain = MapChain.default(cg)
     scheme = AnnularScheme.dyadic(64)
@@ -210,7 +204,7 @@ def criterion_4(cg: float = 16.0) -> Evidence:
                      csv_text(["p", "verdict", "last_increment_ratio", "total"], rows)})
 
 
-def criterion_5(cg: float = 16.0) -> Evidence:
+def criterion_5(cg: float) -> Evidence:
     """Exponential integrals diverge at the matched dyadic scheme.
 
     Stated for lambda in {0.01, 0.1, 1} at eps down to 2^-64. The increments
@@ -234,7 +228,7 @@ def criterion_5(cg: float = 16.0) -> Evidence:
                                "last_increment_ratio", "log_total"], rows)})
 
 
-def criterion_6(cg: float = 16.0) -> Evidence:
+def criterion_6(cg: float) -> Evidence:
     """Test-function energy decays faster than every power; negative control."""
     rs = [2.0**-k for k in range(3, 13)]
     report = superpolynomial_decay_check([0.5, 1.0, 2.0, 5.0, 10.0], rs)
@@ -246,7 +240,7 @@ def criterion_6(cg: float = 16.0) -> Evidence:
                      csv_text(["s", "passed"] + [f"log_ratio_k{k}" for k in range(3, 13)], rows)})
 
 
-def criterion_7(cg: float = 16.0) -> Evidence:
+def criterion_7(cg: float) -> Evidence:
     """Grid solver calibration on the classical annulus condenser."""
     exact = 2.0 * math.pi / math.log(4.0)
     errors = {}
@@ -262,7 +256,7 @@ def criterion_7(cg: float = 16.0) -> Evidence:
                      csv_text(["resolution", "capacity", "rel_error"], rows)})
 
 
-def criterion_8(cg: float = 16.0) -> Evidence:
+def criterion_8(cg: float) -> Evidence:
     """Tip condenser capacities: monotone column and power-law decay targets.
 
     The decay target capacity(t)/t^s -> 0 cannot materialize on a grid: the
@@ -283,7 +277,7 @@ def criterion_8(cg: float = 16.0) -> Evidence:
                     {"tip_experiment.csv": csv_text(*experiment_table(rows))})
 
 
-def criterion_9(cg: float = 16.0) -> Evidence:
+def criterion_9(cg: float) -> Evidence:
     """The final Mobius stage keeps the cusp boundary quadratically close."""
     ts = np.geomspace(1e-4, 1e-1, 61)
     rows = boundary_image_trace(ts)
@@ -298,7 +292,7 @@ def criterion_9(cg: float = 16.0) -> Evidence:
                         [(r.t, r.x1, r.x2, r.residual) for r in rows])})
 
 
-def criterion_10(cg: float = 16.0) -> Evidence:
+def criterion_10(cg: float) -> Evidence:
     """Two consecutive runs of criteria 1-9 produce byte-identical artifacts."""
     run1, run2 = ({f"criterion-{i:02d}/{name}": text
                    for i in sorted(CRITERIA)[:-1]  # all but this one
@@ -327,7 +321,7 @@ CRITERIA = {
 }
 
 
-def run_criterion(index: int, out_dir=None, cg: float = 16.0) -> CriterionResult:
+def run_criterion(index: int, out_dir=None, cg: float = ProfileParams.cg) -> CriterionResult:
     """Criterion `index`, timed on the monotonic clock: PASS needs its checks
     and its wall-clock budget. With out_dir, its artifacts are written to
     out_dir/criterion-NN/."""
@@ -359,7 +353,7 @@ def select_criteria(only=None) -> list:
     return selected
 
 
-def run_suite(out_dir=None, cg: float = 16.0, only=None):
+def run_suite(out_dir=None, cg: float = ProfileParams.cg, only=None):
     """Run selected criteria (all by default), printing each PASS/FAIL line;
     returns the result list. An out_dir that cannot be made ("" or a file)
     raises OSError before any criterion runs."""

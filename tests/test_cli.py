@@ -200,9 +200,9 @@ def test_verify_only_name_fragment(capsys):
     assert "FAIL" in out and "distortion-envelope" in out
 
 
-def test_verify_negative_control_detects_wrong_derivative():
+def test_verify_negative_control_detects_wrong_derivative(monkeypatch):
+    from cuspmap import verify
     from cuspmap.distortion import cusp_jacobian_values
-    from cuspmap.verify import criterion_1
 
     def wrong(r, theta, params):
         a11, a12, a21, a22 = cusp_jacobian_values(r, theta, params)
@@ -213,9 +213,12 @@ def test_verify_negative_control_detects_wrong_derivative():
         a11[500] = math.nan
         return a11, a12, a21, a22
 
-    assert criterion_1(jacobian_fn=wrong).passed is False
-    assert criterion_1(jacobian_fn=nan_at_one_point).passed is False
-    assert criterion_1().passed is True
+    monkeypatch.setattr(verify, "cusp_jacobian_values", wrong)
+    assert verify.criterion_1(16.0).passed is False
+    monkeypatch.setattr(verify, "cusp_jacobian_values", nan_at_one_point)
+    assert verify.criterion_1(16.0).passed is False
+    monkeypatch.undo()
+    assert verify.criterion_1(16.0).passed is True
 
 
 def test_determinism_criterion_detects_a_changing_artifact(monkeypatch):
@@ -231,14 +234,14 @@ def test_determinism_criterion_detects_a_changing_artifact(monkeypatch):
 
     table = {i: verify.CRITERIA[i] for i in (9, 10)}
     monkeypatch.setattr(verify, "CRITERIA", table)
-    assert verify.criterion_10().passed is True
+    assert verify.criterion_10(16.0).passed is True
     table[4] = ("noisy", math.inf, noisy)
-    evidence = verify.criterion_10()
+    evidence = verify.criterion_10(16.0)
     assert evidence.passed is False
     assert evidence.details == {"compared_files": 2, "mismatches": ["criterion-04/noise.txt"]}
     assert json.loads(evidence.artifacts["determinism.json"]) == evidence.details
     table[4] = ("renamed", math.inf, renamed)
-    evidence = verify.criterion_10()
+    evidence = verify.criterion_10(16.0)
     assert evidence.passed is False and evidence.details["mismatches"] == ["file sets differ"]
 
 
@@ -321,6 +324,49 @@ def test_config_equals_form_supplies_defaults(tmp_path, capsys):
     code, out = run(["integrate", "--kpow", "1", f"--config={cfg}"], capsys)
     assert code == 0
     assert len(json.loads(out)["partials"]) == 12
+
+
+@pytest.mark.parametrize("key,argv,message", [
+    ("steps=10", ["integrate", "--kpow", "2"], "--steps needs --geometric-depth"),
+    ("depth=12", ["integrate", "--kpow", "2", "--geometric-depth", "100"],
+     "--depth and --geometric-depth exclude each other"),
+    ("seed=5", ["map", "sample", "--points=0.1,0.2"], "--seed needs --random"),
+])
+def test_config_key_the_chosen_mode_ignores_is_a_usage_error(key, argv, message, tmp_path,
+                                                             capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(key + "\n")
+    assert usage_exit_code(argv + ["--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,prog", [
+    (["map", "sample", "--grid", "1449"], "cuspmap map sample"),
+    (["distortion", "field", "--r-max", "2"], "cuspmap distortion field"),
+])
+def test_failed_cross_option_check_reports_under_the_subcommand(argv, prog, capsys):
+    # as a flag's own type error does: the subcommand's usage line and prefix
+    assert usage_exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: {prog} [-h]")
+    assert f"\n{prog}: error: " in err
+
+
+def test_default_cusp_constant_is_the_profile_default():
+    import inspect
+
+    from cuspmap import verify
+    from cuspmap.maps import MapChain
+
+    cg = ProfileParams().cg
+    parser = cli._build_parser()[0]
+    for argv in (["map", "sample"], ["distortion", "field"], ["integrate", "--kpow", "1"],
+                 ["distortion", "fit-bound", "--theta", "pi"],
+                 ["capacity", "theorem1", "--t", "0.25"], ["verify"]):
+        assert parser.parse_args(argv).cg == cg
+    for fn in (verify.run_criterion, verify.run_suite):
+        assert inspect.signature(fn).parameters["cg"].default == cg
+    assert MapChain.default().params.cg == cg
 
 
 def test_non_finite_point_is_a_usage_error(capsys):
@@ -450,6 +496,11 @@ def test_cusp_constant_the_profile_rejects_is_a_usage_error(command, cg, capsys)
     *((["map", "sample", "--random", "3", "--seed", seed],
        f"argument --seed: {seed} is above the maximum {2**62}")
       for seed in ("9223372036854775790", "100000000000000000000000")),
+    # a flag the chosen mode would ignore
+    (["integrate", "--kpow", "2", "--steps", "10"], "--steps needs --geometric-depth"),
+    (["integrate", "--kpow", "2", "--depth", "12", "--geometric-depth", "100"],
+     "--depth and --geometric-depth exclude each other"),
+    (["map", "sample", "--points=0.1,0.2", "--seed", "5"], "--seed needs --random"),
 ])
 def test_malformed_numbers_are_plain_usage_errors(argv, message, capsys):
     assert usage_exit_code(argv) == 2

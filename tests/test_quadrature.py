@@ -1,5 +1,6 @@
 """Annular quadrature and the integrability dichotomy."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -113,7 +114,7 @@ def test_node_doubling_stability():
 @pytest.mark.parametrize("scheme", [
     AnnularScheme.dyadic(64),
     AnnularScheme.geometric(65536),
-    AnnularScheme.dyadic(64, annuli_per_step=2),
+    dataclasses.replace(AnnularScheme.dyadic(64), annuli_per_step=2),
 ], ids=["dyadic64", "geometric65536", "dyadic64-2bands"])
 @pytest.mark.parametrize("integral,kind,parameter,transform", [
     (distortion_power_integral, "K^p", 2.0, lambda lk: 2.0 * lk),
@@ -256,7 +257,8 @@ def test_conformal_chain_exp_integral_converges_to_e_pi():
 def test_refinement_stability_of_partials():
     base = distortion_power_integral(2.0, AnnularScheme.dyadic(16), CHAIN)
     fine = distortion_power_integral(
-        2.0, AnnularScheme.dyadic(16, annuli_per_step=2, radial_nodes=16, angular_nodes=32),
+        2.0, dataclasses.replace(AnnularScheme.dyadic(16), annuli_per_step=2, radial_nodes=16,
+                                 angular_nodes=32),
         CHAIN)
     for (_, a), (_, b) in zip(base.partials, fine.partials):
         assert abs(a - b) / b < 5e-3

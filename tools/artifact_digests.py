@@ -4,9 +4,11 @@
 
 Runs, each in its own process and writing through `--out` into OUTDIR:
 `cuspmap verify`, every `cuspmap` example of the README's "Command line"
-block, and the CLI commands of perfbench's certify workload (`map sample
+block, the CLI commands of perfbench's certify workload (`map sample
 --random 2000 --roundtrip`, the two `distortion field` runs and the eight
-`integrate --geometric-depth 65536`). The package is imported from SRC,
+`integrate --geometric-depth 65536`), and a group of small runs of the
+options those two leave out (JSON tables, `--chain` and a non-default
+`--cg`). The package is imported from SRC,
 by default the `src` directory of this checkout; the command list always
 comes from this checkout. Prints one `sha256  path` line per file, paths
 relative to OUTDIR, sorted. A command that exits with an unexpected code
@@ -44,6 +46,20 @@ CERTIFY = [
     *(["integrate", "--explambda", v, "--geometric-depth", "65536"] for v in ("0.01", "0.1", "1")),
 ]
 
+OPTIONS = [
+    ["map", "sample", "--grid", "8", "--roundtrip", "--format", "json"],
+    ["map", "sample", "--random", "50", "--roundtrip", "--cg", "100"],
+    ["map", "trace-boundary", "--t", "0.1,0.01", "--format", "json"],
+    ["distortion", "field", "--nr", "8", "--ntheta", "8", "--format", "json"],
+    ["distortion", "field", "--cg", "100", "--nr", "8", "--ntheta", "8"],
+    ["distortion", "field", "--chain", "f1,f3", "--r-max", "2", "--nr", "4", "--ntheta", "4"],
+    ["distortion", "field", "--chain", "f2", "--nr", "8", "--ntheta", "8"],
+    ["distortion", "fit-bound", "--theta", "pi", "--format", "json"],
+    ["integrate", "--kpow", "2", "--depth", "12", "--chain", "f1,f3"],
+    ["integrate", "--explambda", "1", "--depth", "12", "--cg", "100"],
+    ["capacity", "theorem1", "--t", "0.25", "--resolution", "32", "--format", "json"],
+]
+
 
 def readme_commands() -> list:
     """argv of each `cuspmap` example in the README's "Command line" block,
@@ -56,7 +72,8 @@ def readme_commands() -> list:
 def jobs(out_dir: Path) -> list:
     """(argv, expected exit codes) of every command, each with its --out."""
     todo = [(["verify", "--out", str(out_dir / "verify")], (0, 1))]
-    for group, commands in (("readme", readme_commands()), ("certify", CERTIFY)):
+    for group, commands in (("readme", readme_commands()), ("certify", CERTIFY),
+                            ("options", OPTIONS)):
         for i, argv in enumerate(commands, 1):
             name = f"{i:02d}_" + re.sub(r"[^A-Za-z0-9.=,-]+", "_", " ".join(argv)).strip("_")
             if "--out" in argv:  # the README's PGM example names its own file
@@ -74,11 +91,10 @@ def digests(out_dir: Path) -> list:
 def run_tree(src: Path, out_dir: Path):
     """Every job with the package from src; ({path: sha256}, whether a command
     exited with an unexpected code)."""
-    for group in ("readme", "certify"):
-        (out_dir / group).mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     failed = False
     for command, expected in jobs(out_dir):
+        Path(command[-1]).parent.mkdir(parents=True, exist_ok=True)  # the --out's directory
         code = subprocess.run([sys.executable, "-m", "cuspmap", *command], env=env,
                               stdout=subprocess.DEVNULL).returncode
         if code not in expected:
