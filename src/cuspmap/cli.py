@@ -524,8 +524,7 @@ def main(argv=None) -> int:
             path = "stdout" if args.out == "-" else args.out
             print(f"error: writing {path}: {exc.strerror}", file=sys.stderr)
             return 3
-        print(f"{parser.prog}: error: argument --out: {exc}", file=sys.stderr)
-        return 2
+        args.error(f"argument --out: {exc}")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,9 @@
 """The image-boundary arc near the cusp tip and its pullback to the disk.
 
-The image domain is the strip {0 < x1 < 1, |x2| < e^{-1/x1}} joined with a
-disk, carried by the final Mobius stage into B((1/2, 0), 1/2). Boundary arcs
-near the tip collapse violently under the inverse chain: the preimage radius
-of a boundary point at height parameter x1 is cg * exp(-exp(1/x1)),
-double-exponentially small. Preimage diameters are therefore reported both
-as doubles (which underflow to 0 early) and as exact log-values.
+The arc is the final stage's image of the cusp curve, cut at |w| <= t. The cusp and
+depth laws live in `profile`, the closed forms of f3 on the cusp curve and of f1^-1
+on the seam in `maps`; this module samples the arc, finds its end and measures
+diameters, as doubles (which underflow to 0 early) and as exact log-values.
 """
 
 from __future__ import annotations
@@ -16,14 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .maps import _TO_DISK, MapChain
+from .maps import MapChain, _cusp_point_image, _seam_preimages
 from .profile import _depth_at_one, depth_inverse_log
 
-__all__ = [
-    "PreimageArc",
-    "arc_diameter",
-    "preimage_arc",
-]
+__all__ = ["PreimageArc", "arc_diameter", "preimage_arc"]
 
 
 def _last_inside(outside, lo: float, hi: float) -> float:
@@ -70,11 +64,10 @@ def arc_diameter(pts) -> float:
 class PreimageArc:
     """Pullback of an image-boundary arc through the full chain.
 
-    `diameter` is the double-precision pairwise diameter of the pulled-back
-    samples; it underflows to 0 once the arc collapses below the smallest
-    subnormal. `log_diameter` is the exact log of the true sample diameter
-    4 r_t / (1 + r_t^2), always finite (or -inf past the overflow of
-    exp(1/depth)). Both sample arrays are complex, the upper branch first.
+    `diameter` is the double-precision pairwise diameter of the pulled-back samples,
+    0 once the arc collapses below the smallest subnormal; `log_diameter` is the exact
+    log of the true sample diameter, finite (or -inf past the overflow of exp(1/depth)).
+    Both sample arrays are complex, the upper branch first.
     """
 
     t: float
@@ -84,19 +77,11 @@ class PreimageArc:
     log_diameter: float
 
 
-def _cusp_image(x1: float) -> complex:
-    """Final-stage image of the cusp-curve point (x1, e^{-1/x1}), by Python's
-    complex division (numpy's can differ in the last bit)."""
-    z = complex(x1, math.exp(-1.0 / x1) if x1 > 1.0 / 700.0 else 0.0)
-    num, den, _ = _TO_DISK
-    return num(z) / den(z)
-
-
 def _image_arc_x1_max(t: float, params) -> float:
     """Largest cusp-curve parameter whose final-stage image has |w| <= t."""
 
     def beyond_t(x1):
-        w = _cusp_image(x1)
+        w = _cusp_point_image(x1)
         return math.hypot(w.real, w.imag) > t
 
     # |w| is about x1 near the tip, so x1 = t/2 lies inside; t >= 1e-12 keeps
@@ -109,9 +94,8 @@ def preimage_arc(t: float, chain: MapChain, n: int) -> PreimageArc:
     """Pull the image-domain boundary arc {|w| <= t} back to the source disk.
 
     The arc sits on the image of the seam rays, where the pullback is exact:
-    a cusp-curve point with parameter x1 comes from source radius
-    exp(depth_inverse_log(x1)) on the seam, i.e. from the boundary-circle point
-    ((r^2-1) + 2 i r) / (1 + r^2) of the source disk.
+    a cusp-curve point with parameter x1 comes from the seam point of log
+    radius depth_inverse_log(x1), which f1^-1 takes to the source circle.
     """
     if not (0.0 < t < 0.5):
         raise DomainError(f"arc cutoff must lie in (0, 1/2), got {t}")
@@ -126,18 +110,7 @@ def preimage_arc(t: float, chain: MapChain, n: int) -> PreimageArc:
     # depth_inverse_log rejects
     x1 = np.maximum(x1, math.ulp(0.0)).tolist()
 
-    image = np.array([_cusp_image(a) for a in x1])
-    # math.exp, not np.exp: the two can differ in the last bit
-    log_r = [depth_inverse_log(a, params) for a in x1]
-    r = np.array([math.exp(v) for v in log_r])  # underflows to 0 close to the tip
-    den = 1.0 + r * r
-    source = (r * r - 1.0) / den + 1j * (2.0 * r / den)
-    samples = np.concatenate([source, source.conj()])
-    r_t = math.exp(max(log_r))
-    return PreimageArc(
-        t=t,
-        image_samples=np.concatenate([image, image.conj()]),
-        samples=samples,
-        diameter=arc_diameter(samples),
-        log_diameter=math.log(4.0) + max(log_r) - math.log1p(r_t * r_t),
-    )
+    image = np.array([_cusp_point_image(a) for a in x1])
+    samples, log_diameter = _seam_preimages([depth_inverse_log(a, params) for a in x1])
+    return PreimageArc(t=t, image_samples=np.concatenate([image, image.conj()]), samples=samples,
+                       diameter=arc_diameter(samples), log_diameter=log_diameter)

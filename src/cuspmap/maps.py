@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, RangeError
-from .profile import ProfileParams, _curves, _scaled_rates
+from .profile import ProfileParams, _curves, _cusp_edge, _depth_inverse_log_values, _scaled_rates
 
 __all__ = [
     "MapStage",
@@ -195,8 +195,7 @@ def _squeeze_inv_polar(rho, phi, params: ProfileParams):
     target = np.minimum(rho, g_ends[1])
     lo, hi = np.full(np.shape(rho), _LOG_R_FLOOR), np.zeros(np.shape(rho))
     # depth = 1/loglog(cg/r) is G up to the factor sqrt(1 + aspect^2) ~ 1
-    with np.errstate(over="ignore"):
-        u = np.clip(log_cg - np.exp(1.0 / target), lo, hi)
+    u = np.clip(_depth_inverse_log_values(target, log_cg), lo, hi)
     # a settled entry stops moving, so no entry depends on the others
     active = np.ones(np.shape(rho), dtype=bool)
     for _ in range(_NEWTON_STEPS):
@@ -260,8 +259,29 @@ def chain_inverse_values(w, chain: MapChain) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Image-boundary asymptotics near the cusp tip
+# The cusp boundary near the tip, in closed form
 # ---------------------------------------------------------------------------
+
+def _cusp_point_image(x1: float) -> complex:
+    """f3 of the cusp-curve point (x1, e^{-1/x1}), by Python's complex
+    division (numpy's can differ in the last bit)."""
+    z = complex(x1, _cusp_edge(x1))
+    num, den, _ = _TO_DISK
+    return num(z) / den(z)
+
+
+def _seam_preimages(log_r) -> tuple:
+    """f1^-1 of the seam points +-i r from a list of log r: the points ((r^2-1) +- 2 i r)
+    / (1 + r^2) of the unit circle, upper branch first, and the exact log of their
+    diameter 4 r_t / (1 + r_t^2), r_t the largest r (finite where r underflows to 0)."""
+    # math.exp, not np.exp: the two can differ in the last bit
+    r = np.array([math.exp(v) for v in log_r])  # underflows to 0 close to the tip
+    den = 1.0 + r * r
+    source = (r * r - 1.0) / den + 1j * (2.0 * r / den)
+    r_t = math.exp(max(log_r))
+    return (np.concatenate([source, source.conj()]),
+            math.log(4.0) + max(log_r) - math.log1p(r_t * r_t))
+
 
 @dataclass(frozen=True)
 class TraceRow:
@@ -288,8 +308,8 @@ def boundary_image_trace(t_values) -> list:
     for t in t_values:
         if not (0.0 < t < 1.0):
             raise DomainError(f"trace parameter {t!r} outside (0, 1)")
-        y = math.exp(-1.0 / t)  # underflows to 0 near the tip
-        z = complex(t, y) / complex(1.0 + t, y)
+        y = _cusp_edge(t)
+        z = _cusp_point_image(t)
         # Re z - t without the cancellation of z.real - t
         residual = (y * y * (1.0 - t) - t * t * (1.0 + t)) / ((1.0 + t) ** 2 + y * y)
         # where t*t is not a normal double, y is 0, the residual has

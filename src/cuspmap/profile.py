@@ -1,9 +1,9 @@
-"""Radial profile driving the cusp squeeze.
+"""Radial profile driving the cusp squeeze, and its depth and cusp laws.
 
-Three curves of the source radius r control the map: the cusp depth
-1/loglog(cg/r), the cusp aspect (depth-scaled exponential width), and the
-image radius. Everything is evaluated through the log-space intermediates
-l1 = log(cg/r), l2 = log(l1), which keeps radii down to 1e-300 representable:
+Three curves of the source radius r control the map: the depth 1/loglog(cg/r)
+(the depth law), the aspect (the width e^{-1/depth} of the cusp law,
+`_cusp_edge`, over the depth) and the image radius. Everything is evaluated
+through l1 = log(cg/r), l2 = log(l1), which keeps radii down to 1e-300 representable:
 
     depth        = 1 / l2
     aspect       = l2 / l1          (identical to exp(-1/depth)/depth)
@@ -22,10 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = [
-    "ProfileParams",
-    "depth_inverse_log",
-]
+__all__ = ["ProfileParams", "depth_inverse_log"]
 
 # Dyadic grid depth used by the construction-time monotonicity check.
 _CHECK_LEVELS = 48
@@ -100,3 +97,14 @@ def depth_inverse_log(value: float, params: ProfileParams) -> float:
     except OverflowError:
         return -math.inf
     return params.log_cg() - e
+
+
+def _depth_inverse_log_values(depth, log_cg):
+    """depth_inverse_log on arrays, unchecked and by np.exp (-inf past its overflow)."""
+    with np.errstate(over="ignore"):
+        return log_cg - np.exp(1.0 / depth)
+
+
+def _cusp_edge(x1: float) -> float:
+    """The cusp law: the image domain's half-width e^{-1/x1} at depth x1 (0 near the tip)."""
+    return math.exp(-1.0 / x1)

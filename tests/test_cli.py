@@ -652,14 +652,16 @@ def test_trace_residual_over_t2_at_cutoffs_near_and_below_the_normal_square(t, c
     ["map", "trace-boundary", "--t", "0.1", "--out", ""],
 ])
 def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    # reported like every other usage error: the subcommand's usage line and prefix
+    prog = " ".join(["cuspmap", *itertools.takewhile(lambda a: not a.startswith("--"), argv)])
     existing = tmp_path / "file"
     existing.write_text("")
     argv = [a.format(missing=tmp_path / "nodir", file=existing) for a in argv]
-    assert main(argv) == 2
+    assert usage_exit_code(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    (line,) = captured.err.splitlines()
-    assert line.startswith("cuspmap: error: argument --out: ")
+    assert captured.err.startswith(f"usage: {prog} [-h]")
+    assert captured.err.splitlines()[-1].startswith(f"{prog}: error: argument --out: ")
     assert existing.read_text() == ""
 
 

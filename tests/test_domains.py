@@ -10,6 +10,7 @@ from cuspmap import (
     MapChain,
     MapStage,
     arc_diameter,
+    boundary_image_trace,
     chain_inverse_values,
     chain_values,
     preimage_arc,
@@ -151,23 +152,49 @@ def test_preimage_arc_monotone_and_linear_regime():
     assert np.all(np.abs(wide.samples) <= 1.0 + 1e-12)
 
 
+def arc_x1(t, n):
+    """The cusp-curve parameters of the n samples per branch of the arc at t."""
+    x1_max = _image_arc_x1_max(t, CHAIN.params)
+    return np.exp(np.linspace(math.log(x1_max) - 60.0 * math.log(2.0), math.log(x1_max), n))
+
+
 @pytest.mark.parametrize("t,n", [(0.4, 320), (0.3, 24), (0.05, 64), (2.0**-9, 24)])
 def test_preimage_arc_equals_the_point_by_point_loop(t, n):
     # reference: Python complex division for the image, Python float
     # arithmetic for the source circle points, branch by branch
     arc = preimage_arc(t, CHAIN, n)
-    x1_max = _image_arc_x1_max(t, CHAIN.params)
-    x1 = np.exp(np.linspace(math.log(x1_max) - 60.0 * math.log(2.0), math.log(x1_max), n))
+    x1 = arc_x1(t, n)
     image, source = [], []
     for sign in (1.0, -1.0):
         for a in x1.tolist():
-            w = sign * (math.exp(-1.0 / a) if a > 1.0 / 700.0 else 0.0)
+            w = sign * math.exp(-1.0 / a)
             image.append(complex(a, w) / complex(a + 1.0, w))
             r = math.exp(depth_inverse_log(a, CHAIN.params))
             den = 1.0 + r * r
             source.append(complex((r * r - 1.0) / den, sign * 2.0 * r / den))
     assert arc.image_samples.tolist() == image
     assert arc.samples.tolist() == source
+
+
+@pytest.mark.parametrize("n", [64, 320])
+@pytest.mark.parametrize("t", [0.45, 0.4, 0.3])
+def test_preimage_arc_is_the_chain_inverse_of_its_image(t, n):
+    # the arc's closed forms of f3 and f1^-1 stand for the chain's stages
+    arc = preimage_arc(t, CHAIN, n)
+    live = arc.samples.imag != 0.0  # the source radius is representable
+    assert np.count_nonzero(live) >= 4
+    back = chain_inverse_values(arc.image_samples[live], CHAIN)
+    assert np.max(np.abs(back - arc.samples[live])) <= 4 * math.ulp(1.0)
+
+
+@pytest.mark.parametrize("t,n", [(0.4, 320), (0.125, 64)])
+def test_preimage_arc_image_is_the_boundary_trace(t, n):
+    # bit for bit, including a sample whose cusp width e^{-1/x1} lies in (0, e^-700]
+    x1 = arc_x1(t, n).tolist()
+    assert any(1.0 / 745.2 < a <= 1.0 / 700.0 for a in x1)
+    image = preimage_arc(t, CHAIN, n).image_samples[:n]
+    rows = boundary_image_trace(x1)
+    assert [(r.x1, r.x2) for r in rows] == [(w.real, w.imag) for w in image.tolist()]
 
 
 def test_preimage_arc_needs_full_chain():

@@ -7,8 +7,9 @@ Runs, each in its own process and writing through `--out` into OUTDIR:
 block, the CLI commands of perfbench's certify workload (`map sample
 --random 2000 --roundtrip`, the two `distortion field` runs and the eight
 `integrate --geometric-depth 65536`), and a group of small runs of the
-options those two leave out (JSON tables, `--chain` and a non-default
-`--cg`). The package is imported from SRC,
+options those two leave out (JSON tables, `--chain`, a non-default `--cg`,
+and cusp-curve points whose width e^{-1/x1} is near or below the smallest
+normal double). The package is imported from SRC,
 by default the `src` directory of this checkout; the command list always
 comes from this checkout. Prints one `sha256  path` line per file, paths
 relative to OUTDIR, sorted. A command that exits with an unexpected code
@@ -58,6 +59,10 @@ OPTIONS = [
     ["integrate", "--kpow", "2", "--depth", "12", "--chain", "f1,f3"],
     ["integrate", "--explambda", "1", "--depth", "12", "--cg", "100"],
     ["capacity", "theorem1", "--t", "0.25", "--resolution", "32", "--format", "json"],
+    # cusp-curve points whose width e^{-1/x1} is near or below the smallest normal
+    # double (3.5e-308 and 1.6e-320), on the trace and on the arc
+    ["map", "trace-boundary", "--t", "0.0014125375446227555,0.001358039853299022"],
+    ["capacity", "theorem1", "--t", "0.4,0.125", "--resolution", "16", "--arc-samples", "320"],
 ]
 
 
