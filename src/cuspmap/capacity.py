@@ -15,10 +15,11 @@ Three layers:
     start), plus the pullback capacity experiment toward the cusp tip. CG,
     its products, its stopping test and the final residual run in float64;
     only the preconditioner, a multigrid V-cycle, runs in float32, on flat
-    contiguous levels padded to even sides. Its rounding can cost CG an
-    iteration or two, but not accuracy. Each product is one pass of numpy's
-    einsum, never BLAS, so the bits do not depend on the thread count; their
-    views are taken once per solve. A condenser that is its own mirror image
+    contiguous levels padded to even sides, down to a level small enough for
+    a dense float64 inverse. Its rounding can cost CG an iteration or two,
+    but not accuracy. Each product is one pass of numpy's einsum, never BLAS,
+    so the bits do not depend on the thread count; their views are taken
+    once per solve. A condenser that is its own mirror image
     along a grid axis is solved on one half of that axis: the annulus on a
     quarter grid, the tip condenser on a half grid, whose 1/K is sampled
     only on the edges the solve reads, on one half of the disk.
@@ -256,12 +257,17 @@ def _edge_midpoint_weights(grid: Grid2D, weight, where):
 # Preconditioner: a symmetric V-cycle over 2x2 aggregates, in float32. Damped
 # Jacobi smooths before and after the coarse correction; the correction is
 # scaled up because a piecewise-constant prolongation undershoots smooth
-# errors. The hierarchy ends at a grid at most this many nodes across, where
-# one Jacobi step stands in for the solve (measured: a dense solve at 8 nodes
-# across saves no annulus iteration and costs a LAPACK call).
+# errors. The hierarchy ends at the first level of at most this many nodes,
+# which a dense inverse solves exactly: the annulus ends at 10 x 10 nodes and
+# the tip condenser at 18 x 10, where one Jacobi step on a 2 x 2 level cost
+# them 3 and 5 CG iterations. With one BLAS thread the inverse takes about
+# 0.3 ms at 100 nodes, 1.4 ms at 180 and 6.8 ms at 324, where it eats the gain.
 _JACOBI_DAMPING = 0.85
 _COARSE_SCALE = 1.6
-_COARSEST_SIDE = 2
+_COARSEST_NODES = 200
+# float32's resolution: the float32 V-cycle resolves no mode of a level whose
+# Jacobi-scaled eigenvalue lies below it
+_FLOAT32_EPS = float(np.finfo(np.float32).eps)
 
 
 def _dot(a, b):
@@ -279,15 +285,17 @@ class _Level:
     lives only next to the plates, so it is kept sparse (gidx, gval). Nodes
     with no edges and no ground (fixed, padded) have zero rows: the values
     they hold never reach another row. `smooth` is the damped inverse
-    diagonal, 0 on such nodes; `x`, `rhs`, `res` and `tmp` are the V-cycle's
-    buffers, and `res` and `tmp` (one entry longer, for `bind`) are views of
-    one buffer that all levels share. `down` and `up` hold the views the
-    V-cycle works through on this level, taken once by `_hierarchy`.
+    diagonal, 0 on such nodes, and `bottom` the dense inverse of the coarsest
+    level; `x`, `rhs`, `res` and `tmp` are the V-cycle's buffers, and `res`
+    and `tmp` (one entry longer, for `bind`) are views of one buffer that all
+    levels share. `down` and `up` hold the views the V-cycle works through on
+    this level, taken once by `_hierarchy`.
     """
 
     def __init__(self, shape, wx, wy, gidx, gval):
         self.shape, self.wx, self.wy, self.gidx, self.gval = shape, wx, wy, gidx, gval
-        self.smooth = self.x = self.rhs = self.res = self.tmp = self.down = self.up = None
+        self.smooth = self.bottom = self.x = self.rhs = self.res = self.tmp = None
+        self.down = self.up = None
 
     def bind(self, u, out):
         """out = A u as a function of no arguments, its slices taken once."""
@@ -342,8 +350,35 @@ class _Level:
         diag[:-n1] += self.wx[:-n1]
         diag[n1:] += self.wx[:-n1]
         diag[self.gidx] += self.gval
-        diag[diag <= 0.0] = np.inf
+        # no step on a zero diagonal, nor on a subnormal one, whose damped
+        # inverse would overflow
+        diag[diag < np.finfo(diag.dtype).tiny] = np.inf
         return np.divide(_JACOBI_DAMPING, diag, out=diag)
+
+    def inverse(self):
+        """The dense float64 inverse of the level's matrix over the nodes whose
+        row is nonzero, with zero rows and columns elsewhere.
+
+        The diagonal is first raised by _FLOAT32_EPS of itself, below what the
+        float32 V-cycle resolves: so the inverse stays finite on a part of the
+        level with no ground (a piece of the domain away from both plates),
+        whose matrix is singular, and on weights of any spread.
+        """
+        n, n1 = self.wx.size, self.shape[1]
+        a = np.zeros((n, n))
+        k = np.arange(n)
+        for w, step in ((self.wy, 1), (self.wx, n1)):
+            i, w = k[:-step], w[:-step]
+            a[i, i + step] = a[i + step, i] = -w
+            a[i, i] += w
+            a[i + step, i + step] += w
+        a[self.gidx, self.gidx] += self.gval
+        active = np.flatnonzero(np.diagonal(a))
+        a[active, active] *= 1.0 + _FLOAT32_EPS
+        block = np.ix_(active, active)
+        out = np.zeros((n, n))
+        out[block] = np.linalg.inv(a[block])
+        return out
 
 
 def _edges_to(wx, wy, src, dst):
@@ -410,7 +445,8 @@ def _fine_level(wx, wy, F, E, free):
 
 
 def _hierarchy(fine):
-    """The V-cycle's float32 levels, finest first, with their work buffers.
+    """The V-cycle's float32 levels, finest first, with their work buffers;
+    the last, of at most _COARSEST_NODES nodes, carries its dense inverse.
 
     Their `res` and `tmp` share the memory of the float64 level's `tmp`,
     which the V-cycle and the CG products use in turn. The buffers stay put
@@ -418,8 +454,9 @@ def _hierarchy(fine):
     """
     levels = [_Level(fine.shape, fine.wx.astype(np.float32), fine.wy.astype(np.float32),
                      fine.gidx, fine.gval.astype(np.float32))]
-    while max(levels[-1].shape) > _COARSEST_SIDE:
+    while levels[-1].wx.size > _COARSEST_NODES:
         levels.append(levels[-1].coarse())
+    levels[-1].bottom = levels[-1].inverse()
     shared = fine.tmp.view(np.float32)
     n = fine.wx.size
     for level in levels:
@@ -441,7 +478,8 @@ def _hierarchy(fine):
 
 
 def _precondition(levels):
-    """Symmetric V-cycle on levels[0].rhs from a zero start; the result is levels[0].x."""
+    """Symmetric V-cycle on levels[0].rhs from a zero start, exact on the last
+    level; the result is levels[0].x."""
     # restriction: sums over 2x2 aggregates, first of row pairs, then of column pairs
     for level in levels[:-1]:
         apply, lo, hi, pairs, even, odd, coarse_rhs = level.down
@@ -449,8 +487,9 @@ def _precondition(levels):
         np.subtract(level.rhs, apply(), out=level.res)
         np.add(lo, hi, out=pairs)
         np.add(even, odd, out=coarse_rhs)
+    # the coarsest level solved exactly; einsum, not a BLAS matvec, as in _dot
     last = levels[-1]
-    np.multiply(last.smooth, last.rhs, out=last.x)
+    np.copyto(last.x, np.einsum("ij,j->i", last.bottom, last.rhs))
     # prolongation: one row of column pairs, added to both rows of each pair
     for level in levels[-2::-1]:
         apply, xc, window, even, odd, blocks, row = level.up
@@ -484,7 +523,8 @@ def _pcg(fine, r, cfg: GridSolverConfig, lines=()):
     over the mirror `lines` of a folded grid. Each step casts r into the
     float32 V-cycle and adds its output z into the float64 p, so the
     preconditioner's rounding changes the iteration count, not the solution.
-    Returns u, the iteration count and ||b||.
+    A residual norm that is not finite raises ConvergenceError. Returns u,
+    the iteration count and ||b||.
     """
     levels = _hierarchy(fine)
 
@@ -500,7 +540,9 @@ def _pcg(fine, r, cfg: GridSolverConfig, lines=()):
     b_norm = r_norm = _norm(r, lines)
     threshold = cfg.tolerance * max(b_norm, 1e-300)
     iterations = 0
-    while r_norm > threshold:
+    while not r_norm <= threshold:
+        if not math.isfinite(r_norm):
+            raise ConvergenceError(f"CG residual {r_norm} after {iterations} iterations")
         if iterations >= _MAX_ITERATIONS:
             raise ConvergenceError(
                 f"CG residual {r_norm:.3e} above {threshold:.3e} "

@@ -23,8 +23,9 @@ __all__ = ["PreimageArc", "arc_diameter", "preimage_arc"]
 def _last_inside(outside, lo: float, hi: float) -> float:
     """Largest x in [lo, hi] before the monotone predicate `outside` turns true.
 
-    Bisection, ending at float resolution: within [0, 1] that takes at most
-    1,075 halvings.
+    `outside(lo)` must be false. Bisection, ending at float resolution: within
+    [0, 1] that takes at most 1,075 halvings. The result is the last point
+    found inside, never one beyond.
     """
     if not outside(hi):
         return hi
@@ -36,7 +37,7 @@ def _last_inside(outside, lo: float, hi: float) -> float:
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+    return lo
 
 
 def arc_diameter(pts) -> float:
@@ -106,6 +107,7 @@ def preimage_arc(t: float, chain: MapChain, n: int) -> PreimageArc:
     params = chain.params
     x1_max = _image_arc_x1_max(t, params)
     x1 = np.exp(np.linspace(math.log(x1_max) - 60.0 * math.log(2.0), math.log(x1_max), n))
+    x1[-1] = x1_max  # exp(log x1_max) can land a few ulps beyond it
     # below t of about 3e-306 the deepest samples would underflow to 0, which
     # depth_inverse_log rejects
     x1 = np.maximum(x1, math.ulp(0.0)).tolist()

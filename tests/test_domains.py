@@ -16,6 +16,7 @@ from cuspmap import (
     preimage_arc,
 )
 from cuspmap.domains import _image_arc_x1_max
+from cuspmap.maps import _cusp_point_image
 from cuspmap.profile import depth_inverse_log
 
 CHAIN = MapChain.default()
@@ -99,10 +100,9 @@ def test_arc_diameter_approaches_t():
 
 @pytest.mark.parametrize("t", [1e-13, 1e-100, 1e-300])
 def test_arc_below_1e_12_reaches_its_cutoff(t):
-    # the bracket used to start at 1e-12, so every such arc reached 9.99999999999e-13;
-    # slack: the outermost sample is exp(log x1_max), a few ulps of t either way
+    # the bracket used to start at 1e-12, so every such arc reached 9.99999999999e-13
     top = max(abs(complex(w)) for w in image_arc(t, 16))
-    assert t * (1.0 - 1e-13) <= top <= t * (1.0 + 1e-13)
+    assert t * (1.0 - 1e-13) <= top <= t
     assert arc_diameter(image_arc(t, 16)) == pytest.approx(t, rel=1e-13)
 
 
@@ -155,7 +155,19 @@ def test_preimage_arc_monotone_and_linear_regime():
 def arc_x1(t, n):
     """The cusp-curve parameters of the n samples per branch of the arc at t."""
     x1_max = _image_arc_x1_max(t, CHAIN.params)
-    return np.exp(np.linspace(math.log(x1_max) - 60.0 * math.log(2.0), math.log(x1_max), n))
+    x1 = np.exp(np.linspace(math.log(x1_max) - 60.0 * math.log(2.0), math.log(x1_max), n))
+    x1[-1] = x1_max
+    return x1
+
+
+def test_no_image_sample_lies_beyond_the_cutoff():
+    # |w| as the cutoff bisection measures it; the bisection used to return
+    # the midpoint of its last two doubles, and the last sample exp(log x1_max),
+    # which put half of these arcs a few ulps beyond t
+    for t in np.geomspace(1e-12, 0.49, 200).tolist():
+        w = _cusp_point_image(_image_arc_x1_max(t, CHAIN.params))
+        assert math.hypot(w.real, w.imag) <= t
+        assert max(math.hypot(w.real, w.imag) for w in image_arc(t, 8).tolist()) <= t
 
 
 @pytest.mark.parametrize("t,n", [(0.4, 320), (0.3, 24), (0.05, 64), (2.0**-9, 24)])

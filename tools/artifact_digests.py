@@ -6,8 +6,10 @@ Runs, each in its own process and writing through `--out` into OUTDIR:
 `cuspmap verify`, every `cuspmap` example of the README's "Command line"
 block, the CLI commands of perfbench's certify workload (`map sample
 --random 2000 --roundtrip`, the two `distortion field` runs and the eight
-`integrate --geometric-depth 65536`), and a group of small runs of the
-options those two leave out (JSON tables, `--chain`, a non-default `--cg`,
+`integrate --geometric-depth 65536`), perfbench's grid problems (`capacity
+grid` on the annulus at 128 and 256, `capacity theorem1` at the tip
+workload's cutoffs and resolution), and a group of small runs of the
+options those leave out (JSON tables, `--chain`, a non-default `--cg`,
 and cusp-curve points whose width e^{-1/x1} is near or below the smallest
 normal double). The package is imported from SRC,
 by default the `src` directory of this checkout; the command list always
@@ -47,6 +49,12 @@ CERTIFY = [
     *(["integrate", "--explambda", v, "--geometric-depth", "65536"] for v in ("0.01", "0.1", "1")),
 ]
 
+BENCH = [
+    ["capacity", "grid", "--annulus", "0.25", "1", "--resolution", "128"],
+    ["capacity", "grid", "--annulus", "0.25", "1", "--resolution", "256"],
+    ["capacity", "theorem1", "--t", "0.45,0.3,0.125", "--resolution", "128"],
+]
+
 OPTIONS = [
     ["map", "sample", "--grid", "8", "--roundtrip", "--format", "json"],
     ["map", "sample", "--random", "50", "--roundtrip", "--cg", "100"],
@@ -78,7 +86,7 @@ def jobs(out_dir: Path) -> list:
     """(argv, expected exit codes) of every command, each with its --out."""
     todo = [(["verify", "--out", str(out_dir / "verify")], (0, 1))]
     for group, commands in (("readme", readme_commands()), ("certify", CERTIFY),
-                            ("options", OPTIONS)):
+                            ("bench", BENCH), ("options", OPTIONS)):
         for i, argv in enumerate(commands, 1):
             name = f"{i:02d}_" + re.sub(r"[^A-Za-z0-9.=,-]+", "_", " ".join(argv)).strip("_")
             if "--out" in argv:  # the README's PGM example names its own file
